@@ -434,9 +434,8 @@ class ParallelEngine:
                 signal.signal(signum, signal.SIG_IGN)
             except (ValueError, OSError):  # pragma: no cover
                 pass
-        # Parent-process instrumentation has no meaning in the replica.
-        _tensor_core._set_profiler(None)
-        _tensor_core._set_trace_hook(None)
+        # Parent-process instrumentation has no meaning in the worker.
+        _tensor_core._clear_hooks_in_child()
         blas_mode = limit_blas_threads(self.blas_threads)
         self.model.train()
         import contextlib

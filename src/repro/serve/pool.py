@@ -439,8 +439,7 @@ class ReplicaPool:
                 signal.signal(signum, signal.SIG_IGN)
             except (ValueError, OSError):  # pragma: no cover
                 pass
-        _tensor_core._set_profiler(None)
-        _tensor_core._set_trace_hook(None)
+        _tensor_core._clear_hooks_in_child()
         blas_mode = limit_blas_threads(self.blas_threads)
         self.model.eval()
         # Forked child: the parent's dispatch lock has no meaning here —

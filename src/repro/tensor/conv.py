@@ -1,17 +1,31 @@
 """2-D convolution and pooling with gradients.
 
-The forward pass extracts sliding windows with
-``numpy.lib.stride_tricks.sliding_window_view`` (a zero-copy im2col),
-packs them into a persistent scratch buffer from a
-:class:`~repro.tensor.scratch.ScratchPool`, and contracts against the
-kernel with one GEMM.  The packed layout replicates exactly what
-``np.tensordot(windows, weight, axes=([1, 4, 5], [1, 2, 3]))`` builds
-internally (non-contracted axes first, contracted axes in the given
-order), so the results are bitwise identical to the previous
-tensordot-based implementation — but the im2col/weight/GEMM workspaces
-are reused across calls instead of reallocated.  The backward pass
-scatters gradients back with a small loop over kernel offsets, which is
-fast for the 3x3 kernels used throughout the library.
+:func:`conv2d` is an im2col convolution in a *K-major* layout.  The
+forward pass takes the receptive fields of the (padded) input as a
+zero-copy ``sliding_window_view`` and packs them, with one
+``np.copyto``, into a scratch buffer of shape
+``(C_in, KH, KW, N, H', W')``: the contracted axes lead, in the
+weight's own ``(C_in, KH, KW)`` order, and the output positions trail.
+The layout is chosen for the copy, which at the small spatial grids of
+this library costs more than the GEMM:
+
+- the pack's innermost runs are whole output rows, ``W'`` elements
+  that are contiguous in the input when the stride is 1.  A row-major
+  ``(N, H', W', C_in, KH, KW)`` pack instead walks ``KW``-element
+  kernel rows of a transposed view, several times slower per element;
+- the GEMM is ``weight.reshape(C_out, C_in*KH*KW) @ col`` against the
+  weight as stored, so the weight is never repacked, and its
+  ``(C_out, N, H', W')`` result is an NCHW view after one transpose.
+
+The backward pass is two GEMMs over the same layout: ``grad_w = g @
+colᵀ`` and ``dcol = weightᵀ @ g`` (``g`` the output gradient as
+``(C_out, N*H'*W')``), then a col2im of ``dcol`` with ``KH*KW``
+strided slab adds.  The im2col and GEMM workspaces come from a
+:class:`~repro.tensor.scratch.ScratchPool` and are reused across
+calls.  A pooled buffer is shared by every conv of the same shape, so
+the backward repacks ``col`` from the window view it keeps (a later
+conv may have overwritten the buffer) instead of holding a private
+copy on the tape, and then reuses the buffer for ``dcol``.
 
 Under an active :mod:`repro.compile` recorder every op additionally
 registers an in-place refresh kernel so a compiled plan can recompute
@@ -52,7 +66,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
         Ints or (h, w) pairs; padding is symmetric zero padding.
     scratch:
         Optional :class:`~repro.tensor.scratch.ScratchPool` providing
-        the im2col/weight/GEMM workspaces.  Defaults to the thread's
+        the im2col and GEMM workspaces.  Defaults to the thread's
         shared pool (or the active compile recorder's private pool), so
         repeated same-shape calls allocate no new scratch.
     """
@@ -74,31 +88,29 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
         pool = recorder.scratch if recorder is not None else default_pool()
 
     if ph or pw:
-        x_pad = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        # Bitwise what np.pad builds, without its per-call overhead.
+        # Fresh per call: the backward's window view keeps it alive.
+        x_pad = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        inner = x_pad[:, :, ph:ph + h, pw:pw + w]
+        inner[...] = x.data
     else:
-        x_pad = x.data
+        x_pad, inner = x.data, None
     h_out = (h + 2 * ph - kh) // sh + 1
     w_out = (w + 2 * pw - kw) // sw + 1
 
-    # (N, C, H', W', KH, KW) view of all receptive fields.
-    windows = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-
-    # Pack into the exact operand layout tensordot would build: the
-    # non-contracted window axes (0, 2, 3) lead, the contracted axes
-    # (1, 4, 5) trail, flattened to a (rows, ck) x (ck, C_out) GEMM.
+    # (C_in, KH, KW, N, H', W') view of all receptive fields.
+    win_t = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))[
+        :, :, ::sh, ::sw].transpose(1, 4, 5, 0, 2, 3)
     ck = c_in * kh * kw
     rows = n * h_out * w_out
     dt = np.result_type(x.dtype, weight.dtype)
-    col = pool.get("conv2d.col", (n, h_out, w_out, c_in, kh, kw), dt)
-    w_packed = pool.get("conv2d.weight", (c_in, kh, kw, c_out), dt)
-    gemm_out = pool.get("conv2d.gemm", (rows, c_out), dt)
-    np.copyto(col, windows.transpose(0, 2, 3, 1, 4, 5))
-    np.copyto(w_packed, weight.data.transpose(1, 2, 3, 0))
-    col2 = col.reshape(rows, ck)
-    w2 = w_packed.reshape(ck, c_out)
-    np.matmul(col2, w2, out=gemm_out)
-    # (N, H', W', C_out) -> (N, C_out, H', W') view over the GEMM output.
-    result_t = gemm_out.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+    col = pool.get("conv2d.col", (c_in, kh, kw, n, h_out, w_out), dt)
+    gemm_out = pool.get("conv2d.gemm", (c_out, rows), dt)
+    col2 = col.reshape(ck, rows)
+    np.copyto(col, win_t)
+    np.matmul(weight.data.reshape(c_out, ck), col2, out=gemm_out)
+    # (C_out, N, H', W') -> (N, C_out, H', W') view over the GEMM output.
+    result_t = gemm_out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
 
     parents = [x, weight]
     bias_t = None
@@ -107,22 +119,28 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
         out = result_t + bias_t.data[None, :, None, None]
         parents.append(bias_t)
     else:
-        out = np.ascontiguousarray(result_t)
+        # A copy even when the view is already contiguous (N == 1): the
+        # result must never alias the pooled GEMM buffer.
+        out = result_t.copy()
 
     def backward(grad):
+        # (N, C_out, H', W') -> (C_out, N*H'*W'), the GEMM's layout.
+        g2 = grad.transpose(1, 0, 2, 3).reshape(c_out, rows)
         if weight.requires_grad:
-            # grad: (N, C_out, H', W'); windows: (N, C_in, H', W', KH, KW)
-            grad_w = np.tensordot(grad, windows, axes=([0, 2, 3], [0, 2, 3]))
-            weight._accumulate_grad(grad_w)
+            # Repack: a later same-shape conv may own the buffer now.
+            np.copyto(col, win_t)
+            grad_w = np.matmul(g2, col2.T)
+            weight._accumulate_grad(grad_w.reshape(weight.shape))
         if x.requires_grad:
-            grad_pad = np.zeros_like(x_pad)
-            # One scatter per kernel offset: cheap for small kernels.
+            # dcol overwrites the pooled col: the weight GEMM is done.
+            np.matmul(weight.data.reshape(c_out, ck).T, g2, out=col2)
+            grad_pad = np.zeros(x_pad.shape, dtype=x_pad.dtype)
             for p in range(kh):
                 for q in range(kw):
-                    # (N, C_out, H', W') x (C_out, C_in) -> (N, C_in, H', W')
-                    contrib = np.tensordot(grad, weight.data[:, :, p, q], axes=([1], [0]))
-                    contrib = contrib.transpose(0, 3, 1, 2)
-                    grad_pad[:, :, p:p + h_out * sh:sh, q:q + w_out * sw:sw] += contrib
+                    # Offset (p, q)'s (C_in, N, H', W') slab of dcol into
+                    # the strided window it came from.
+                    grad_pad[:, :, p:p + h_out * sh:sh, q:q + w_out * sw:sw] += \
+                        col[:, p, q].transpose(1, 0, 2, 3)
             if ph or pw:
                 grad_x = grad_pad[:, :, ph:ph + h, pw:pw + w]
             else:
@@ -135,21 +153,18 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
 
     if recorder is not None:
         # In-place refresh: re-pad the captured x_pad interior, repack
-        # scratch (same pooled buffers, shared across same-shape convs),
-        # one GEMM, then write the output buffer.  Zero allocations.
-        inner = x_pad[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else None
+        # the pooled col (shared across same-shape convs), one GEMM,
+        # then write the output buffer.  Zero allocations.
         x_d, w_d = x.data, weight.data
         b_d = bias_t.data if bias_t is not None else None
         out_d = result.data
-        win_t = windows.transpose(0, 2, 3, 1, 4, 5)
         reads = (x_d, w_d) if b_d is None else (x_d, w_d, b_d)
 
         def refresh():
             if inner is not None:
                 inner[...] = x_d
             np.copyto(col, win_t)
-            np.copyto(w_packed, w_d.transpose(1, 2, 3, 0))
-            np.matmul(col2, w2, out=gemm_out)
+            np.matmul(w_d.reshape(c_out, ck), col2, out=gemm_out)
             if b_d is not None:
                 np.add(result_t, b_d[None, :, None, None], out=out_d)
             else:

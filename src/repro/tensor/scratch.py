@@ -2,9 +2,9 @@
 
 A :class:`ScratchPool` hands out numpy arrays keyed by
 ``(tag, shape, dtype)`` and keeps them alive, so a hot-path kernel that
-needs the same-shaped workspace every call (the conv im2col buffer, the
-packed-weight matrix, the GEMM output) reuses one allocation instead of
-materialising a fresh array per call.
+needs the same-shaped workspace every call (the conv im2col buffer and
+GEMM output) reuses one allocation instead of materialising a fresh
+array per call.
 
 Two pools exist:
 

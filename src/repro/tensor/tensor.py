@@ -119,6 +119,26 @@ def _set_recorder(recorder):
     return previous
 
 
+def _clear_hooks_in_child():
+    """Uninstall every instrumentation hook in a freshly forked child.
+
+    A forked worker or replica inherits the parent's profiler, anomaly
+    checker, graph tracer, kernel recorder and module-call observer;
+    none has a meaning there (a parent-side profiler would count child
+    ops into a copy nobody reads, a recorder would capture kernels into
+    a plan that is never replayed).  The child re-enables what it needs
+    itself, e.g. anomaly mode when its engine was configured with it.
+    """
+    _set_profiler(None)
+    _set_anomaly_hook(None)
+    _set_trace_hook(None)
+    _set_recorder(None)
+    # Deferred import: repro.nn sits above the tensor core.
+    from repro.nn.module import _set_forward_hook
+
+    _set_forward_hook(None)
+
+
 def set_default_dtype(dtype):
     """Set the dtype used when constructing tensors from Python data.
 

@@ -9,12 +9,14 @@ the run is bit-deterministic run-to-run.
 """
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from repro.data.windows import SampleBatch
 from repro.nn import Parameter
+from repro.nn.module import _set_forward_hook
 from repro.optim import Adam
 from repro.parallel import ParallelEngine, ParallelWorkerError, worker_rank
 from tests.robustness.injectors import ToyForecaster
@@ -136,6 +138,28 @@ class TestLifecycle:
         engine.close()
         engine.close()
         assert multiprocessing.active_children() == []
+
+    def test_worker_drops_parent_forward_hook(self, tiny_data):
+        # A forked worker must not run the parent's module-call observer
+        # (nor its anomaly hook or kernel recorder).
+        parent = os.getpid()
+
+        def parent_only(module, forward, args, kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("parent's forward hook ran in a worker")
+            return forward(*args, **kwargs)
+
+        model, optimizer, train, batch = _toy_setup(tiny_data, n=8)
+        serial_grads, serial_loss = _serial_gradient(model, batch)
+        previous = _set_forward_hook(parent_only)
+        try:
+            grads, loss = _engine_gradient(model, optimizer, train,
+                                           batch_size=8, workers=1, n=8)
+        finally:
+            _set_forward_hook(previous)
+        assert loss == pytest.approx(serial_loss, abs=1e-11)
+        for serial, reduced in zip(serial_grads, grads):
+            np.testing.assert_allclose(reduced, serial, atol=1e-12, rtol=0)
 
     def test_epoch_steps_outside_context_raises(self, tiny_data):
         model, optimizer, train, _ = _toy_setup(tiny_data)

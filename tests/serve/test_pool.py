@@ -3,9 +3,12 @@
 Fork-heavy tests are consolidated so each pool lifecycle is paid once.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.nn.module import _set_forward_hook
 from repro.serve import ForecastServer, ReplicaPool, ServeConfig
 from repro.tensor import no_grad
 
@@ -69,6 +72,27 @@ class TestReplicaPool:
             pool.close()
         with pytest.raises(RuntimeError, match="not running"):
             pool.predict(tiny_data.test.slice(0, 1))
+
+    def test_replica_drops_parent_forward_hook(self, tiny_data):
+        # A forked replica must not run the parent's module-call observer
+        # (nor its anomaly hook or kernel recorder).
+        parent = os.getpid()
+
+        def parent_only(module, forward, args, kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("parent's forward hook ran in a replica")
+            return forward(*args, **kwargs)
+
+        test = tiny_data.test
+        model = TinyForecaster(tiny_data, seed=0)
+        expected = offline(TinyForecaster(tiny_data, seed=0), test)
+        previous = _set_forward_hook(parent_only)
+        try:
+            with ReplicaPool(model, test, replicas=1, max_batch=8) as pool:
+                rows, _ = pool.predict(test.slice(0, 4))
+        finally:
+            _set_forward_hook(previous)
+        np.testing.assert_allclose(rows, expected[:4], atol=1e-12, rtol=0)
 
     def test_invalid_construction(self, tiny_data):
         model = TinyForecaster(tiny_data)

@@ -1,34 +1,53 @@
-"""Pooled im2col scratch: bitwise conv results, zero steady-state alloc."""
+"""conv2d: the K-major im2col kernel and its pooled scratch.
+
+Two references pin the kernel down:
+
+- ``fresh_conv2d`` runs the same K-major GEMM with throwaway arrays, so
+  pooling must not change a single bit (atol 0);
+- ``previous_conv2d`` / ``previous_conv2d_grads`` are the kernel this
+  one replaced — a ``(rows, ck) x (ck, C_out)`` GEMM forward and a
+  per-offset ``tensordot`` backward.  They contract in another operand
+  order, so they agree to float tolerance, not bitwise.
+"""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.tensor import Tensor, no_grad
 from repro.tensor.conv import conv2d
 from repro.tensor.scratch import ScratchPool, default_pool
 
 
-def reference_conv2d(x, weight, bias=None, stride=1, padding=0):
-    """Freshly-allocated im2col conv with the same contraction layout.
-
-    Builds the identical (rows, ck) x (ck, C_out) GEMM as the pooled
-    implementation but with throwaway arrays, so pooling must not change
-    a single bit.  (Plain ``np.tensordot`` picks a different internal
-    operand order and can differ at the ULP level, so it is only an
-    ``allclose`` cross-check, not the bitwise reference.)
-    """
+def _pad_and_windows(x, kh, kw, stride, padding):
     sh, sw = (stride, stride) if isinstance(stride, int) else stride
     ph, pw = (padding, padding) if isinstance(padding, int) else padding
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
     x_pad = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    h_out = (h + 2 * ph - kh) // sh + 1
-    w_out = (w + 2 * pw - kw) // sw + 1
     windows = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    return x_pad, windows, (sh, sw), (ph, pw)
+
+
+def fresh_conv2d(x, weight, bias=None, stride=1, padding=0):
+    """The K-major im2col GEMM of ``conv2d`` with freshly allocated arrays."""
+    c_out, c_in, kh, kw = weight.shape
+    _, windows, _, _ = _pad_and_windows(x, kh, kw, stride, padding)
+    n, _, h_out, w_out = windows.shape[:4]
+    col = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    col = col.reshape(c_in * kh * kw, n * h_out * w_out)
+    out = weight.reshape(c_out, -1) @ col
+    out = out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    return np.ascontiguousarray(out)
+
+
+def previous_conv2d(x, weight, bias=None, stride=1, padding=0):
+    """Forward of the replaced kernel: ``(rows, ck) x (ck, C_out)``."""
+    c_out, c_in, kh, kw = weight.shape
+    _, windows, _, _ = _pad_and_windows(x, kh, kw, stride, padding)
+    n, _, h_out, w_out = windows.shape[:4]
     col = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
     col = col.reshape(n * h_out * w_out, c_in * kh * kw)
     w_packed = np.ascontiguousarray(weight.transpose(1, 2, 3, 0))
@@ -37,6 +56,24 @@ def reference_conv2d(x, weight, bias=None, stride=1, padding=0):
     if bias is not None:
         out = out + bias[None, :, None, None]
     return np.ascontiguousarray(out)
+
+
+def previous_conv2d_grads(x, weight, grad, stride=1, padding=0):
+    """Backward of the replaced kernel: ``(grad_x, grad_w, grad_b)``."""
+    c_out, c_in, kh, kw = weight.shape
+    n, _, h, w = x.shape
+    x_pad, windows, (sh, sw), (ph, pw) = _pad_and_windows(
+        x, kh, kw, stride, padding)
+    h_out, w_out = grad.shape[2:]
+    grad_w = np.tensordot(grad, windows, axes=([0, 2, 3], [0, 2, 3]))
+    grad_pad = np.zeros_like(x_pad)
+    for p in range(kh):
+        for q in range(kw):
+            contrib = np.tensordot(grad, weight[:, :, p, q], axes=([1], [0]))
+            grad_pad[:, :, p:p + h_out * sh:sh, q:q + w_out * sw:sw] += \
+                contrib.transpose(0, 3, 1, 2)
+    grad_x = grad_pad[:, :, ph:ph + h, pw:pw + w]
+    return grad_x, grad_w, grad.sum(axis=(0, 2, 3))
 
 
 @pytest.fixture
@@ -52,6 +89,26 @@ CASES = [
     ((1, 2), (2, 0), True),
 ]
 
+# (kernel, stride, padding, bias, x requires grad)
+GRAD_CASES = [(3, s, p, b, True) for s, p, b in CASES] + [
+    (1, 1, 0, True, True),    # 1x1 kernel: the im2col is a transpose
+    (3, 1, 1, True, False),   # input without grad: weight/bias only
+]
+
+# Set from the input scale, not from observed errors: inputs are
+# standard normal, so outputs reach ~10 and weight gradients ~100.
+F32_TOL = dict(rtol=1e-5, atol=1e-4)
+
+
+def _run_conv(x, w, b, upstream, stride, padding, x_grad=True):
+    """conv2d output and (grad_x, grad_w, grad_b) for ``sum(out * upstream)``."""
+    xt = Tensor(x.copy(), requires_grad=x_grad)
+    wt = Tensor(w.copy(), requires_grad=True)
+    bt = None if b is None else Tensor(b.copy(), requires_grad=True)
+    out = conv2d(xt, wt, bt, stride=stride, padding=padding)
+    (out * Tensor(upstream)).sum().backward()
+    return out.data, xt.grad, wt.grad, None if bt is None else bt.grad
+
 
 class TestBitwiseEquality:
     @pytest.mark.parametrize("stride,padding,use_bias", CASES)
@@ -64,17 +121,10 @@ class TestBitwiseEquality:
             got = conv2d(Tensor(x), Tensor(w),
                          None if b is None else Tensor(b),
                          stride=stride, padding=padding)
-        expected = reference_conv2d(x, w, b, stride=stride, padding=padding)
+        expected = fresh_conv2d(x, w, b, stride=stride, padding=padding)
         np.testing.assert_array_equal(got.data, expected)
         # Cross-check against tensordot (different operand order: ULPs).
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        sh, sw = (stride, stride) if isinstance(stride, int) else stride
-        ph, pw = (padding, padding) if isinstance(padding, int) else padding
-        x_pad = (np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-                 if (ph or pw) else x)
-        windows = sliding_window_view(x_pad, (3, 3),
-                                      axis=(2, 3))[:, :, ::sh, ::sw]
+        _, windows, _, _ = _pad_and_windows(x, 3, 3, stride, padding)
         loose = np.tensordot(windows, w,
                              axes=([1, 4, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
         if b is not None:
@@ -90,10 +140,10 @@ class TestBitwiseEquality:
             via_explicit = conv2d(Tensor(x), Tensor(w), padding=1,
                                   scratch=pool).data
         np.testing.assert_array_equal(via_default, via_explicit)
-        # The explicit pool now holds the im2col/weight/GEMM workspaces.
-        assert len(pool) == 3
+        # The explicit pool now holds the im2col and GEMM workspaces.
+        assert len(pool) == 2
         assert {tag for tag, _, _ in pool._buffers} == {
-            "conv2d.col", "conv2d.weight", "conv2d.gemm"}
+            "conv2d.col", "conv2d.gemm"}
 
     def test_gradients_match_with_and_without_pool(self, rng):
         x = rng.standard_normal((2, 3, 6, 6))
@@ -111,6 +161,58 @@ class TestBitwiseEquality:
         for a, c in zip(run(), run(scratch=ScratchPool())):
             np.testing.assert_array_equal(a, c)
 
+    def test_backward_repacks_overwritten_col(self, rng):
+        """Regression: two same-shape convs share the pooled ``col``, so
+        the second forward overwrites it before the first backward runs
+        (and the second backward reuses it for its input gradient).
+        Each backward must repack from its own windows."""
+        x = rng.standard_normal((2, 3, 6, 6))
+        w1 = rng.standard_normal((3, 3, 3, 3))
+        w2 = rng.standard_normal((3, 3, 3, 3))
+
+        def run(first, second):
+            xt = Tensor(x.copy(), requires_grad=True)
+            w1t = Tensor(w1.copy(), requires_grad=True)
+            w2t = Tensor(w2.copy(), requires_grad=True)
+            hidden = conv2d(xt, w1t, padding=1, scratch=first)
+            out = conv2d(hidden, w2t, padding=1, scratch=second)
+            (out * out).sum().backward()
+            return xt.grad, w1t.grad, w2t.grad
+
+        shared = ScratchPool()
+        got = run(shared, shared)
+        assert len(shared) == 2  # one col, one GEMM buffer for both convs
+        expected = run(ScratchPool(), ScratchPool())
+        for a, c in zip(got, expected):
+            np.testing.assert_array_equal(a, c)
+
+
+class TestMatchesPreviousKernel:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k,stride,padding,use_bias,x_grad", GRAD_CASES)
+    def test_output_and_gradients(self, rng, dtype, k, stride, padding,
+                                  use_bias, x_grad):
+        x = rng.standard_normal((3, 4, 9, 8)).astype(dtype)
+        w = rng.standard_normal((5, 4, k, k)).astype(dtype)
+        b = rng.standard_normal(5).astype(dtype) if use_bias else None
+        expected = previous_conv2d(x, w, b, stride=stride, padding=padding)
+        upstream = rng.standard_normal(expected.shape).astype(dtype)
+        out, grad_x, grad_w, grad_b = _run_conv(
+            x, w, b, upstream, stride, padding, x_grad=x_grad)
+        ref_x, ref_w, ref_b = previous_conv2d_grads(
+            x, w, upstream, stride=stride, padding=padding)
+
+        tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else F32_TOL
+        assert out.dtype == grad_w.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(out, expected, **tol)
+        np.testing.assert_allclose(grad_w, ref_w, **tol)
+        if x_grad:
+            np.testing.assert_allclose(grad_x, ref_x, **tol)
+        else:
+            assert grad_x is None
+        if use_bias:
+            np.testing.assert_allclose(grad_b, ref_b, **tol)
+
 
 class TestScratchReuse:
     def test_repeat_calls_reuse_pool_buffers(self, rng):
@@ -120,8 +222,8 @@ class TestScratchReuse:
         with no_grad():
             for _ in range(5):
                 conv2d(Tensor(x), Tensor(w), padding=1, scratch=pool)
-        # 5 calls x 3 workspaces, but only 3 allocations ever happen.
-        assert len(pool) == 3
+        # 5 calls x 2 workspaces, but only 2 allocations ever happen.
+        assert len(pool) == 2
         assert pool.requested_bytes == 5 * pool.nbytes
         assert pool.reuse_pct() == pytest.approx(80.0)
 
@@ -159,7 +261,20 @@ class TestScratchReuse:
         # 3 outputs (+ padded copies + trace noise) but no new workspaces:
         # well under a single im2col buffer.
         assert grown < workspace_bytes // 2
-        assert len(pool) == 3
+        assert len(pool) == 2
+
+    def test_output_never_aliases_the_gemm_buffer(self, rng):
+        # With N == 1 (or C_out == 1) the GEMM result is already an
+        # NCHW-contiguous view; the output must still be its own copy,
+        # or the next same-shape conv overwrites it.
+        x = rng.standard_normal((1, 3, 5, 5))
+        w = rng.standard_normal((1, 3, 3, 3))
+        pool = ScratchPool()
+        with no_grad():
+            first = conv2d(Tensor(x), Tensor(w), padding=1, scratch=pool)
+            kept = first.data.copy()
+            conv2d(Tensor(-x), Tensor(w), padding=1, scratch=pool)
+        np.testing.assert_array_equal(first.data, kept)
 
     def test_default_pool_is_thread_local_and_persistent(self):
         import threading

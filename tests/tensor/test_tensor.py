@@ -153,3 +153,22 @@ class TestDetachCopy:
     def test_astype(self):
         t = Tensor([1.0]).astype(np.float32)
         assert t.dtype == np.float32
+
+
+class TestForkedChildHooks:
+    def test_clear_hooks_in_child_uninstalls_every_hook(self):
+        from repro.nn import module
+        from repro.tensor import tensor as core
+
+        setters = (core._set_profiler, core._set_anomaly_hook,
+                   core._set_trace_hook, core._set_recorder,
+                   module._set_forward_hook)
+        sentinel = object()
+        previous = [setter(sentinel) for setter in setters]
+        try:
+            core._clear_hooks_in_child()
+            assert (core._PROFILER, core._ANOMALY_HOOK, core._TRACE_HOOK,
+                    core._RECORDER, module._FORWARD_HOOK) == (None,) * 5
+        finally:
+            for setter, hook in zip(setters, previous):
+                setter(hook)
