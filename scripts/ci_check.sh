@@ -8,37 +8,61 @@
 # parallel bench gates the worker pool's gradient-equivalence contract
 # (and its 4-worker speedup, on hosts with the cores for it).
 #
+# Every stage runs even when an earlier one failed: a failing command
+# is recorded against its stage, the failed stages are listed at the
+# end, and the script then exits non-zero.
+#
 #   scripts/ci_check.sh            # from anywhere inside the repo
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== static analysis =="
+STAGE=""
+FAILED=()
+
+stage() {
+    STAGE="$1"
+    echo "== $STAGE =="
+}
+
+# Run one command of the current stage; on failure record the stage
+# (once) and carry on.
+run() {
+    "$@" && return 0
+    local status=$?
+    echo "ci_check: '$STAGE' failed (exit $status): $*" >&2
+    if [ "${#FAILED[@]}" -eq 0 ] || [ "${FAILED[-1]}" != "$STAGE" ]; then
+        FAILED+=("$STAGE")
+    fi
+    return 0
+}
+
+stage "static analysis"
 # AST lint (dtype-policy, gradcheck-coverage, optimizer-out,
 # mutable-default; config in [tool.repro.lint]) and the abstract-
 # interpretation model checker over MUSE-Net at paper shapes.  Both
 # exit 2 on findings, failing the gate (docs/static_analysis.md).
-python -m repro lint
+run python -m repro lint
 # Whole-program lock discipline over the threaded/forked stacks:
 # lock-order cycles, guarded-field escapes, fork-under-lock
 # (config in [tool.repro.lint]; exit 2 on findings).
-python -m repro check-concurrency
-python -m repro check-model MUSE-Net
+run python -m repro check-concurrency
+run python -m repro check-model MUSE-Net
 
-echo "== tier-1 tests =="
-python -m pytest -x -q
+stage "tier-1 tests"
+run python -m pytest -x -q
 
-echo "== fault-injection suite =="
+stage "fault-injection suite"
 # Robustness harness: divergence sentinel policies, detect_anomaly op
 # attribution, checkpoint corruption/mid-write kills, SIGINT/SIGTERM
 # interruption + resume (tests/robustness/).
-python -m pytest tests/robustness -q
+run python -m pytest tests/robustness -q
 
-echo "== profiling-overhead bench (smoke) =="
-python benchmarks/bench_profile_overhead.py --smoke --out BENCH_profiling.json
+stage "profiling-overhead bench (smoke)"
+run python benchmarks/bench_profile_overhead.py --smoke --out BENCH_profiling.json
 
-echo "== train-throughput bench (smoke) =="
+stage "train-throughput bench (smoke)"
 # Smoke timings are noisy; the committed BENCH_throughput.json (full
 # mode) is where the >=1.5x speedup and <=3% fault-tolerance-overhead
 # claims live.  The gates here only require the optimized path to beat
@@ -46,23 +70,23 @@ echo "== train-throughput bench (smoke) =="
 # compiled arm's bit-equivalence gate (replayed steps == eager, atol 0)
 # is always on; its >=1.5x speedup gate self-disables on single-CPU
 # hosts and records the reason in the snapshot instead.
-python benchmarks/bench_train_throughput.py --smoke --min-speedup 1.1 \
+run python benchmarks/bench_train_throughput.py --smoke --min-speedup 1.1 \
     --max-overhead-pct 10 --min-compiled-speedup 1.5 \
     --out BENCH_throughput.json
 
-echo "== data-parallel smoke fit (2 workers) =="
+stage "data-parallel smoke fit (2 workers)"
 # End-to-end worker-pool exercise through the real CLI: forked
 # replicas, shared-memory allreduce, sentinel + telemetry, clean drain.
-python -m repro train MUSE-Net --profile ci --dtype float32 --workers 2
+run python -m repro train MUSE-Net --profile ci --dtype float32 --workers 2
 
-echo "== parallel-scaling bench (smoke) =="
+stage "parallel-scaling bench (smoke)"
 # Always gates gradient equivalence (reduced == single-process batch
 # gradient at 4 workers); the 2.5x speedup gate self-disables on hosts
 # with < 4 CPUs and records the reason in the snapshot instead.
-python benchmarks/bench_parallel_scaling.py --mode smoke \
+run python benchmarks/bench_parallel_scaling.py --mode smoke \
     --min-speedup 2.5 --out BENCH_parallel.json
 
-echo "== serve-latency bench (smoke) =="
+stage "serve-latency bench (smoke)"
 # Always gates serving correctness (served rows == offline
 # predict_scaled at 1e-6/1e-12, under a batching-hostile request mix),
 # single-flight dedup (32 concurrent same-tick clients -> exactly one
@@ -71,24 +95,30 @@ echo "== serve-latency bench (smoke) =="
 # rows at atol 0); the p99 latency and cache-speedup (>= 3x uncached
 # qps at concurrency 32) gates self-disable on single-CPU hosts and
 # record the reason in the snapshot instead.
-python benchmarks/bench_serve_latency.py --mode smoke --out BENCH_serve.json
+run python benchmarks/bench_serve_latency.py --mode smoke --out BENCH_serve.json
 
-echo "== socket serving round trip =="
+stage "socket serving round trip"
 # End-to-end through the real CLI: bind the asyncio front-end on an
 # ephemeral port, discover it via --address-file, query over the wire,
 # ask for a clean drain, and require exit code 0 from the server.
-SERVE_DIR="$(mktemp -d)"
-python -m repro serve MUSE-Net --listen 127.0.0.1:0 \
-    --address-file "$SERVE_DIR/address" --max-wait-ms 0.5 \
-    > "$SERVE_DIR/server.log" 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 240); do
-    [ -s "$SERVE_DIR/address" ] && break
-    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SERVE_DIR/server.log"; exit 1; }
-    sleep 0.5
-done
-[ -s "$SERVE_DIR/address" ] || { echo "server never bound"; cat "$SERVE_DIR/server.log"; exit 1; }
-python - "$SERVE_DIR/address" <<'PYEOF'
+socket_round_trip() {
+    local dir pid
+    dir="$(mktemp -d)"
+    python -m repro serve MUSE-Net --listen 127.0.0.1:0 \
+        --address-file "$dir/address" --max-wait-ms 0.5 \
+        > "$dir/server.log" 2>&1 &
+    pid=$!
+    for _ in $(seq 1 240); do
+        [ -s "$dir/address" ] && break
+        kill -0 "$pid" 2>/dev/null || { cat "$dir/server.log"; return 1; }
+        sleep 0.5
+    done
+    if ! [ -s "$dir/address" ]; then
+        echo "server never bound"; cat "$dir/server.log"
+        kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null
+        return 1
+    fi
+    if ! python - "$dir/address" <<'PYEOF'
 import sys
 from repro.serve import ForecastClient
 
@@ -106,17 +136,24 @@ with ForecastClient(address, wait_ready_s=10.0) as client:
     client.shutdown()
 print("socket round trip OK")
 PYEOF
-wait "$SERVE_PID" || { echo "server exited non-zero"; cat "$SERVE_DIR/server.log"; exit 1; }
-grep -q "drained cleanly" "$SERVE_DIR/server.log"
-rm -rf "$SERVE_DIR"
+    then
+        kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null
+        cat "$dir/server.log"
+        return 1
+    fi
+    wait "$pid" || { echo "server exited non-zero"; cat "$dir/server.log"; return 1; }
+    grep -q "drained cleanly" "$dir/server.log" || return 1
+    rm -rf "$dir"
+}
+run socket_round_trip
 
-echo "== streaming suite =="
+stage "streaming suite"
 # Disruption-tolerant runtime: ingest ordering/quarantine/gaps, drift
 # vs spike, degradation ladder, warm retrain + hot swap, clean-stream
 # bit-identity (tests/stream/, docs/streaming.md).
-python -m pytest tests/stream tests/serve/test_window_cache.py -q
+run python -m pytest tests/stream tests/serve/test_window_cache.py -q
 
-echo "== concurrency sanitizer pass (serve + parallel + stream) =="
+stage "concurrency sanitizer pass (serve + parallel + stream)"
 # Re-run the threaded suites with runtime lock instrumentation: the
 # conftest gate fails the run on any dynamic lock-order inversion,
 # fork-while-locked, long hold, or thread leaked past shutdown.
@@ -125,30 +162,35 @@ echo "== concurrency sanitizer pass (serve + parallel + stream) =="
 # single-CPU hosts (the plain sanitizer detectors still run there).
 if [ "$(nproc)" -ge 2 ]; then
     REPRO_TSAN=1 REPRO_TSAN_STRESS=1 REPRO_TSAN_SEED=0 \
-        python -m pytest tests/serve tests/parallel tests/stream -q
+        run python -m pytest tests/serve tests/parallel tests/stream -q
 else
     echo "sanitizer stress mode disabled: schedule perturbation needs" \
          ">= 2 CPUs to create real interleavings ($(nproc) CPU host);" \
          "running detectors without stress sleeps"
-    REPRO_TSAN=1 python -m pytest tests/serve tests/parallel tests/stream -q
+    REPRO_TSAN=1 run python -m pytest tests/serve tests/parallel tests/stream -q
 fi
 
-echo "== sanitizer-overhead bench (smoke) =="
+stage "sanitizer-overhead bench (smoke)"
 # Gates that the disabled sanitizer factories cost <= 5% vs raw
 # threading primitives on the serve and stream workloads; the
 # wall-clock ratio gate self-disables on single-CPU hosts and records
 # the reason in the snapshot instead.
-python benchmarks/bench_concurrency_overhead.py --mode smoke \
+run python benchmarks/bench_concurrency_overhead.py --mode smoke \
     --out BENCH_concurrency.json
 
-echo "== stream-robustness bench (smoke) =="
+stage "stream-robustness bench (smoke)"
 # Always gates the clean-stream identity (live model forecasts ==
 # offline build_samples -> predict_scaled, max|err| exactly 0) and the
 # level-shift recovery contract (adaptive recovers to <= 1.1x its
 # pre-disruption nrmse while the frozen arm stays broken); the retrain
 # wall-clock budget self-disables on single-CPU hosts and records the
 # reason in the snapshot instead.
-python benchmarks/bench_stream_robustness.py --mode smoke \
+run python benchmarks/bench_stream_robustness.py --mode smoke \
     --out BENCH_stream.json
 
+if [ "${#FAILED[@]}" -gt 0 ]; then
+    echo "ci_check: ${#FAILED[@]} stage(s) failed:" >&2
+    printf '  - %s\n' "${FAILED[@]}" >&2
+    exit 1
+fi
 echo "ci_check: OK"

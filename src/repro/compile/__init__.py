@@ -12,8 +12,8 @@ that repetition away:
 * :class:`~repro.compile.plan.ExecutionPlan` linearizes the record into
   fused ``out=`` kernel chains;
 * :class:`~repro.compile.step.StepCompiler` replays full training steps
-  (forward + retained backward closures + stale-marked gradient
-  buffers) — used by ``Trainer(compile=True)`` / ``repro train
+  (forward + retained backward closures + the gradient buffers every
+  tensor keeps across ``zero_grad``) — used by ``Trainer(compile=True)`` / ``repro train
   --compile``;
 * :class:`~repro.compile.forward.ForwardCompiler` replays tape-free
   ``predict`` calls against a liveness-packed buffer arena — used by

@@ -11,8 +11,8 @@ that refreshes those same buffers in place; replaying a step is then
 
 1. copy the new batch into the pinned warmup input arrays (the graph's
    leaves alias them),
-2. mark every node's gradient buffer *stale* (``_grad_stale`` — the
-   allocation-free equivalent of ``zero_grad``),
+2. ``zero_grad`` every node — each keeps its gradient buffer, so the
+   first deposit of the replay overwrites it in place,
 3. execute the plan (fused ``out=`` kernels, zero forward allocations),
 4. re-walk the retained backward closures over the precomputed
    topological order, depositing gradients into the reused buffers.
@@ -112,14 +112,13 @@ class CompiledStep:
         np.copyto(pin_y, batch.target)
         order = self.order
         for node in order:
-            node._grad_stale = True
+            node.zero_grad()
         self.plan.execute()
         loss = self.loss
         loss._accumulate_grad(self.ones)
         for node in reversed(order):
-            # Parity with the eager walk's ``grad is None`` skip: a
-            # still-stale node received no deposit this step.
-            if node._backward is None or node._grad_stale:
+            # The eager walk's skip: a node that received no deposit.
+            if node._backward is None or node.grad is None:
                 continue
             node._backward(node.grad)
         return loss.item(), self.reg.item()
@@ -282,11 +281,9 @@ class StepCompiler:
         if (replay_loss != loss_value or replay_reg != reg_value
                 or not self._grads_equal(saved, self.optimizer.parameters)):
             for param, grad in saved:
-                if grad is None:
-                    param.grad = None
-                elif param.grad is not None:
-                    np.copyto(param.grad, grad)
-                param._grad_stale = False
+                param.zero_grad()
+                if grad is not None:
+                    param._accumulate_grad(grad)
             step.free(profiler)
             reason = "build validation failed: replay diverged from eager"
             self._plans[signature] = reason

@@ -12,26 +12,25 @@ __all__ = ["Adagrad"]
 class Adagrad(Optimizer):
     """Adagrad (Duchi et al., 2011): per-parameter accumulated scaling.
 
-    The kernel is allocation-free in steady state (see
+    The block kernel is allocation-free (see
     :class:`repro.optim.Optimizer`).
     """
+
+    _moments = ("sum_sq",)
 
     def __init__(self, parameters, lr=1e-2, eps=1e-10):
         super().__init__(parameters, lr)
         self.eps = eps
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, data, grad, moments, buffers, t):
+        (accumulated,) = moments
         buf1, buf2 = buffers
-        accumulated = state.get("sum_sq")
-        if accumulated is None:
-            accumulated = state["sum_sq"] = np.zeros_like(param.data)
-            self._note_alloc(accumulated.nbytes)
         # sum_sq <- sum_sq + g*g
         np.multiply(grad, grad, out=buf1)
         accumulated += buf1
-        # param -= lr*g / (sqrt(sum_sq) + eps)
+        # data -= lr*g / (sqrt(sum_sq) + eps)
         np.sqrt(accumulated, out=buf1)
         buf1 += self.eps
         np.multiply(grad, self.lr, out=buf2)
         buf2 /= buf1
-        param.data -= buf2
+        data -= buf2

@@ -12,13 +12,16 @@ __all__ = ["Adam"]
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias-corrected moments.
 
-    The update kernel is written with ``out=`` numpy calls against the
-    persistent moment arrays and the step's two scratch buffers, so a
-    steady-state step allocates nothing.  The arithmetic follows the
-    reference formulation operation-for-operation (same products, same
+    The block kernel is written with ``out=`` numpy calls against the
+    arena's moment rows and two scratch rows, so a steady-state step
+    allocates nothing.  The arithmetic follows the reference
+    formulation operation-for-operation (same products, same
     evaluation order), so results match the textbook implementation in
     :mod:`repro.optim.reference` to rounding noise.
     """
+
+    _moments = ("m", "v")
+    _counts_steps = True
 
     def __init__(self, parameters, lr=2e-4, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=0.0):
@@ -27,21 +30,13 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, data, grad, moments, buffers, t):
+        m, v = moments
         buf1, buf2 = buffers
-        m = state.get("m")
-        if m is None:
-            m = state["m"] = np.zeros_like(param.data)
-            v = state["v"] = np.zeros_like(param.data)
-            self._note_alloc(m.nbytes + v.nbytes)
-        else:
-            v = state["v"]
-        t = state.get("t", 0) + 1
-        state["t"] = t
         beta1, beta2 = self.beta1, self.beta2
 
         if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=buf1)
+            np.multiply(data, self.weight_decay, out=buf1)
             buf1 += grad
             grad = buf1
 
@@ -58,8 +53,8 @@ class Adam(Optimizer):
         np.divide(v, 1.0 - beta2 ** t, out=buf1)
         np.sqrt(buf1, out=buf1)
         buf1 += self.eps
-        # param -= lr * m_hat / buf1
+        # data -= lr * m_hat / buf1
         np.divide(m, 1.0 - beta1 ** t, out=buf2)
         buf2 *= self.lr
         buf2 /= buf1
-        param.data -= buf2
+        data -= buf2

@@ -14,9 +14,12 @@ class AdamW(Optimizer):
 
     Unlike L2-regularized Adam, the decay is applied directly to the
     weights rather than folded into the gradient, which keeps the decay
-    strength independent of the adaptive step size.  The kernel is
-    allocation-free in steady state (see :class:`repro.optim.Optimizer`).
+    strength independent of the adaptive step size.  The block kernel
+    is allocation-free (see :class:`repro.optim.Optimizer`).
     """
+
+    _moments = ("m", "v")
+    _counts_steps = True
 
     def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=1e-2):
@@ -25,17 +28,9 @@ class AdamW(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, data, grad, moments, buffers, t):
+        m, v = moments
         buf1, buf2 = buffers
-        m = state.get("m")
-        if m is None:
-            m = state["m"] = np.zeros_like(param.data)
-            v = state["v"] = np.zeros_like(param.data)
-            self._note_alloc(m.nbytes + v.nbytes)
-        else:
-            v = state["v"]
-        t = state.get("t", 0) + 1
-        state["t"] = t
         beta1, beta2 = self.beta1, self.beta2
 
         # m <- beta1*m + (1-beta1)*g ; v <- beta2*v + (1-beta2)*g*g
@@ -54,7 +49,7 @@ class AdamW(Optimizer):
         np.divide(m, 1.0 - beta1 ** t, out=buf2)
         buf2 /= buf1
         if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=buf1)
+            np.multiply(data, self.weight_decay, out=buf1)
             buf2 += buf1
         buf2 *= self.lr
-        param.data -= buf2
+        data -= buf2

@@ -1,10 +1,13 @@
 """Reference (textbook, allocating) optimizer kernels.
 
 These are the pre-optimization update rules, kept verbatim: every step
-builds its moment math out of fresh numpy temporaries.  They exist for
-two reasons:
+builds its moment math out of fresh numpy temporaries, one parameter
+at a time.  :class:`ReferenceOptimizer` holds that per-parameter step
+loop — the only one left; the optimizers in :mod:`repro.optim` sweep a
+flat arena in blocks instead (:class:`repro.optim.Optimizer`).  They
+exist for two reasons:
 
-- **Equivalence testing** — the in-place kernels in :mod:`repro.optim`
+- **Equivalence testing** — the block kernels in :mod:`repro.optim`
   are required to match these to float64 rounding noise, step for step
   (see ``tests/nn/test_optim_inplace.py``).
 - **Benchmarking** — ``benchmarks/bench_train_throughput.py`` uses
@@ -27,7 +30,23 @@ __all__ = ["ReferenceSGD", "ReferenceAdam", "ReferenceAdamW",
            "ReferenceRMSProp", "ReferenceAdagrad"]
 
 
-class ReferenceSGD(Optimizer):
+class ReferenceOptimizer(Optimizer):
+    """Per-parameter step loop over ``_update(param, grad, state)``.
+
+    Each parameter's state dict holds the arrays its kernel allocated;
+    parameters without a gradient are skipped.  No arena, no blocks.
+    """
+
+    def step(self):
+        self._step_count += 1
+        self.last_step_alloc_bytes = 0
+        for param, state in zip(self.parameters, self._state):
+            if param.grad is not None:
+                self._update(param, param.grad, state)
+        self._finish_step()
+
+
+class ReferenceSGD(ReferenceOptimizer):
     """Seed SGD kernel: classical momentum, allocating temporaries."""
 
     def __init__(self, parameters, lr=0.01, momentum=0.0, weight_decay=0.0):
@@ -35,7 +54,7 @@ class ReferenceSGD(Optimizer):
         self.momentum = momentum
         self.weight_decay = weight_decay
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, param, grad, state):
         nbytes = param.data.nbytes
         if self.weight_decay:
             grad = grad + self.weight_decay * param.data
@@ -54,7 +73,7 @@ class ReferenceSGD(Optimizer):
             self._note_alloc(nbytes)
 
 
-class ReferenceAdam(Optimizer):
+class ReferenceAdam(ReferenceOptimizer):
     """Seed Adam kernel: bias-corrected moments, allocating temporaries."""
 
     def __init__(self, parameters, lr=2e-4, betas=(0.9, 0.999), eps=1e-8,
@@ -64,7 +83,7 @@ class ReferenceAdam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, param, grad, state):
         nbytes = param.data.nbytes
         if self.weight_decay:
             grad = grad + self.weight_decay * param.data
@@ -86,7 +105,7 @@ class ReferenceAdam(Optimizer):
         self._note_alloc(13 * nbytes)
 
 
-class ReferenceAdamW(Optimizer):
+class ReferenceAdamW(ReferenceOptimizer):
     """Seed AdamW kernel: decoupled decay, allocating temporaries."""
 
     def __init__(self, parameters, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
@@ -96,7 +115,7 @@ class ReferenceAdamW(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, param, grad, state):
         nbytes = param.data.nbytes
         m = state.get("m")
         v = state.get("v")
@@ -115,7 +134,7 @@ class ReferenceAdamW(Optimizer):
         self._note_alloc(15 * nbytes)
 
 
-class ReferenceRMSProp(Optimizer):
+class ReferenceRMSProp(ReferenceOptimizer):
     """Seed RMSProp kernel: allocating temporaries."""
 
     def __init__(self, parameters, lr=1e-3, alpha=0.99, eps=1e-8):
@@ -123,7 +142,7 @@ class ReferenceRMSProp(Optimizer):
         self.alpha = alpha
         self.eps = eps
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, param, grad, state):
         nbytes = param.data.nbytes
         avg = state.get("square_avg")
         if avg is None:
@@ -135,14 +154,14 @@ class ReferenceRMSProp(Optimizer):
         self._note_alloc(8 * nbytes)
 
 
-class ReferenceAdagrad(Optimizer):
+class ReferenceAdagrad(ReferenceOptimizer):
     """Seed Adagrad kernel: allocating temporaries."""
 
     def __init__(self, parameters, lr=1e-2, eps=1e-10):
         super().__init__(parameters, lr)
         self.eps = eps
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, param, grad, state):
         nbytes = param.data.nbytes
         accumulated = state.get("sum_sq")
         if accumulated is None:

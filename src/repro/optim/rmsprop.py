@@ -12,29 +12,28 @@ __all__ = ["RMSProp"]
 class RMSProp(Optimizer):
     """RMSProp with exponentially decaying squared-gradient average.
 
-    The kernel is allocation-free in steady state (see
+    The block kernel is allocation-free (see
     :class:`repro.optim.Optimizer`).
     """
+
+    _moments = ("square_avg",)
 
     def __init__(self, parameters, lr=1e-3, alpha=0.99, eps=1e-8):
         super().__init__(parameters, lr)
         self.alpha = alpha
         self.eps = eps
 
-    def _update(self, param, grad, state, buffers):
+    def _update(self, data, grad, moments, buffers, t):
+        (avg,) = moments
         buf1, buf2 = buffers
-        avg = state.get("square_avg")
-        if avg is None:
-            avg = state["square_avg"] = np.zeros_like(param.data)
-            self._note_alloc(avg.nbytes)
         # avg <- alpha*avg + (1-alpha)*g*g
         avg *= self.alpha
         np.multiply(grad, 1.0 - self.alpha, out=buf1)
         buf1 *= grad
         avg += buf1
-        # param -= lr*g / (sqrt(avg) + eps)
+        # data -= lr*g / (sqrt(avg) + eps)
         np.sqrt(avg, out=buf1)
         buf1 += self.eps
         np.multiply(grad, self.lr, out=buf2)
         buf2 /= buf1
-        param.data -= buf2
+        data -= buf2

@@ -12,10 +12,11 @@ three shared-memory regions (:mod:`repro.parallel.shm`):
   backprops its contiguous shard of the global batch, scales the
   shard-mean gradient by ``n_w / N`` (:mod:`repro.parallel.sharding`),
   and writes it flat into its row; the parent's allreduce is then a
-  single rank-ordered ``np.sum(..., axis=0)`` into a pinned reduced
-  buffer that the parameters' ``grad`` views alias — the sentinel,
-  gradient clipping, and the optimizer all read the *reduced* gradient
-  through the normal ``param.grad`` protocol;
+  single rank-ordered ``np.sum(..., axis=0)`` straight into the
+  optimizer's flat gradient arena (:meth:`Optimizer.flat_grads`), whose
+  views become the parameters' ``grad`` — the sentinel, gradient
+  clipping, and the optimizer all read the *reduced* gradient through
+  the normal ``param.grad`` protocol;
 - a **double-buffered batch ring**: a producer thread in the parent
   assembles the next global batch (the fancy-index gather happens once,
   not per worker) into a free ring slot while the workers compute the
@@ -167,8 +168,6 @@ class ParallelEngine:
         self._param_block = None
         self._grad_block = None
         self._ring_block = None
-        self._reduced = None
-        self._grad_views = None
         self._procs = []
         self._conns = []
         self._started = False
@@ -201,18 +200,13 @@ class ParallelEngine:
                              + self._ring_block.nbytes)
 
         # Rebind parameters into the shared flat buffer (values copied
-        # in), and pre-build the reduced-gradient views the parent will
-        # install as param.grad after each allreduce.
+        # in).
         flat = self._param_block["params"]
-        self._reduced = np.zeros(self._total, dtype=dtype)
-        self._grad_views = []
         for param, (offset, size) in zip(self._params, self._offsets):
             view = flat[offset:offset + size].reshape(param.data.shape)
             view[...] = param.data
             param.data = view
             param.grad = None
-            self._grad_views.append(
-                self._reduced[offset:offset + size].reshape(view.shape))
 
         ctx = multiprocessing.get_context("fork")
         try:
@@ -348,11 +342,11 @@ class ParallelEngine:
                         f"worker {rank} failed at epoch {epoch} step {step}: "
                         f"{reply[1]}")
                 begin = perf_counter()
-                np.sum(grads, axis=0, out=self._reduced)
+                reduced, views = self.optimizer.flat_grads()
+                np.sum(grads, axis=0, out=reduced)
                 active = mask.any(axis=0)
                 for index, param in enumerate(self._params):
-                    param.grad = self._grad_views[index] if active[index] \
-                        else None
+                    param.grad = views[index] if active[index] else None
                 self.reduce_s += perf_counter() - begin
                 self.reduce_count += 1
                 profiler = _tensor_core._PROFILER
@@ -476,7 +470,7 @@ class ParallelEngine:
             for field in _BATCH_FIELDS})
         rng = np.random.default_rng([self.seed, epoch, step, rank])
         for param in self._params:
-            param.grad = None
+            param.zero_grad()
         breakdown, _outputs = self.model.training_loss(shard, rng=rng)
         breakdown.total.backward()
         weight = (stop - start) / n

@@ -17,15 +17,23 @@ this library costs more than the GEMM:
   weight as stored, so the weight is never repacked, and its
   ``(C_out, N, H', W')`` result is an NCHW view after one transpose.
 
-The backward pass is two GEMMs over the same layout: ``grad_w = g @
-colᵀ`` and ``dcol = weightᵀ @ g`` (``g`` the output gradient as
-``(C_out, N*H'*W')``), then a col2im of ``dcol`` with ``KH*KW``
-strided slab adds.  The im2col and GEMM workspaces come from a
-:class:`~repro.tensor.scratch.ScratchPool` and are reused across
-calls.  A pooled buffer is shared by every conv of the same shape, so
-the backward repacks ``col`` from the window view it keeps (a later
-conv may have overwritten the buffer) instead of holding a private
-copy on the tape, and then reuses the buffer for ``dcol``.
+The backward pass is two GEMMs.  The weight gradient is ``g @ colᵀ``
+over the same layout (``g`` the output gradient as
+``(C_out, N*H'*W')``).  The input gradient is a transposed
+convolution run as a forward one: the output gradient, dilated by the
+stride and zero-padded by ``k - 1 - p`` on each side (cropped where
+that is negative, i.e. padding >= kernel size), is correlated at
+stride 1 with the kernel flipped in both spatial axes and its channel
+axes swapped — one K-major pack of ``(C_out, KH, KW, N, H, W)`` and
+one GEMM, instead of a ``dcol`` GEMM scattered back by ``KH*KW``
+strided slab adds into a fresh zeroed array.  Every workspace (im2col,
+GEMM output, padded gradient, flipped kernel) comes from a
+:class:`~repro.tensor.scratch.ScratchPool` and is reused across calls.
+A pooled buffer is shared by every conv of the same shape, so the
+backward repacks ``col`` from the window view it keeps (a later conv
+may have overwritten the buffer) instead of holding a private copy on
+the tape, and zeroes the padded gradient on every call (convs with
+another padding or stride place their gradient elsewhere in it).
 
 Under an active :mod:`repro.compile` recorder every op additionally
 registers an in-place refresh kernel so a compiled plan can recompute
@@ -132,20 +140,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
             grad_w = np.matmul(g2, col2.T)
             weight._accumulate_grad(grad_w.reshape(weight.shape))
         if x.requires_grad:
-            # dcol overwrites the pooled col: the weight GEMM is done.
-            np.matmul(weight.data.reshape(c_out, ck).T, g2, out=col2)
-            grad_pad = np.zeros(x_pad.shape, dtype=x_pad.dtype)
-            for p in range(kh):
-                for q in range(kw):
-                    # Offset (p, q)'s (C_in, N, H', W') slab of dcol into
-                    # the strided window it came from.
-                    grad_pad[:, :, p:p + h_out * sh:sh, q:q + w_out * sw:sw] += \
-                        col[:, p, q].transpose(1, 0, 2, 3)
-            if ph or pw:
-                grad_x = grad_pad[:, :, ph:ph + h, pw:pw + w]
-            else:
-                grad_x = grad_pad
-            x._accumulate_grad(grad_x)
+            # The weight GEMM is done: its pooled buffers are free.
+            x._accumulate_grad(_input_grad(grad, weight.data, pool, dt,
+                                           (sh, sw), (ph, pw), (h, w)))
         if bias_t is not None and bias_t.requires_grad:
             bias_t._accumulate_grad(grad.sum(axis=(0, 2, 3)))
 
@@ -173,6 +170,41 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
         recorder.run(refresh, reads=reads, writes=(out_d,))
 
     return result
+
+
+def _input_grad(grad, weight, pool, dt, stride, padding, size):
+    """conv2d's input gradient as one stride-1 correlation.
+
+    Returns an ``(N, C_in, H, W)`` view over a pooled GEMM buffer, valid
+    until the next conv on the pool.  Output gradient row ``i`` lands
+    at padded row ``k - 1 - p + i*s``; rows outside ``[0, H + KH - 1)``
+    belong to windows lying wholly in the input's zero padding and are
+    cropped.
+    """
+    n, c_out, h_out, w_out = grad.shape
+    _, c_in, kh, kw = weight.shape
+    (sh, sw), (ph, pw), (h, w) = stride, padding, size
+    hp, wp = h + kh - 1, w + kw - 1
+    gpad = pool.get("conv2d.gpad", (n, c_out, hp, wp), dt)
+    gpad.fill(0)
+    top, left = kh - 1 - ph, kw - 1 - pw
+    i0, i1 = max(0, -(top // sh)), min(h_out, -((top - hp) // sh))
+    j0, j1 = max(0, -(left // sw)), min(w_out, -((left - wp) // sw))
+    if i1 > i0 and j1 > j0:
+        r0, c0 = top + i0 * sh, left + j0 * sw
+        np.copyto(gpad[:, :, r0:r0 + (i1 - i0 - 1) * sh + 1:sh,
+                       c0:c0 + (j1 - j0 - 1) * sw + 1:sw],
+                  grad[:, :, i0:i1, j0:j1])
+    flipped = pool.get("conv2d.wflip", (c_in, c_out, kh, kw), dt)
+    np.copyto(flipped, weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    col = pool.get("conv2d.col", (c_out, kh, kw, n, h, w), dt)
+    np.copyto(col, sliding_window_view(gpad, (kh, kw), axis=(2, 3))
+              .transpose(1, 4, 5, 0, 2, 3))
+    ck = c_out * kh * kw
+    gemm = pool.get("conv2d.gemm", (c_in, n * h * w), dt)
+    np.matmul(flipped.reshape(c_in, ck), col.reshape(ck, n * h * w),
+              out=gemm)
+    return gemm.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
 
 
 def avg_pool2d(x, kernel_size, stride=None):

@@ -220,7 +220,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_freed", "_grad_stale", "name")
+                 "_freed", "_grad_buf", "name")
 
     def __init__(self, data, requires_grad=False, name=None):
         if isinstance(data, Tensor):
@@ -243,12 +243,10 @@ class Tensor:
         self._backward = None
         self._parents = ()
         self._freed = False
-        # Compiled-replay bookkeeping: when True the gradient *buffer*
-        # is kept but its contents are from a previous step, so the
-        # next deposit overwrites instead of accumulating (see
-        # repro.compile; equivalent to ``grad is None`` without the
-        # reallocation).
-        self._grad_stale = False
+        # The gradient buffer, kept across zero_grad(): the next first
+        # deposit copies into it instead of allocating.  An optimizer
+        # points it at its flat gradient arena (repro.optim.Optimizer).
+        self._grad_buf = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -321,38 +319,47 @@ class Tensor:
         return out
 
     def _accumulate_grad(self, grad):
-        """Add ``grad`` into ``self.grad``, allocating on first use.
+        """Add ``grad`` into ``self.grad``; the first deposit overwrites.
 
-        The buffer is always created in — and accumulation stays in —
-        this tensor's own dtype: a float64 upstream gradient deposited
-        into a float32 parameter is cast at the boundary rather than
+        While ``grad is None`` (a new tensor, or after :meth:`zero_grad`)
+        the deposit is copied into the persistent buffer ``_grad_buf``
+        and that buffer becomes ``grad``; later deposits add into it.
+        Only a tensor without a buffer of its own shape and dtype
+        allocates one, which is what the profiler's
+        ``grad_alloc_bytes`` counts.  So a training loop's parameter
+        gradients are allocated by the first backward (or owned by the
+        optimizer's arena) and overwritten in place by every later one,
+        eager and compiled replay alike.
+
+        The buffer is always in — and accumulation stays in — this
+        tensor's own dtype: a float64 upstream gradient deposited into
+        a float32 parameter is cast at the boundary rather than
         silently widening the gradient buffer.
         """
         if not self.requires_grad:
             return
         grad = np.asarray(grad)
-        if grad.shape != self.data.shape:
+        data = self.data
+        if grad.shape != data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match tensor shape "
-                f"{self.data.shape} (tensor {self.name or '<unnamed>'})"
+                f"{data.shape} (tensor {self.name or '<unnamed>'})"
             )
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
-            self._grad_stale = False
-            if _PROFILER is not None:
-                _PROFILER._record_grad_alloc(self.name or "tensor",
-                                             self.grad.nbytes)
-        elif self._grad_stale:
-            # Compiled replay: the buffer survives across steps but its
-            # contents belong to the previous one — the first deposit
-            # overwrites.  ``copyto`` with unsafe casting is bitwise the
-            # first-branch ``astype(dtype, copy=True)``.
-            np.copyto(self.grad, grad, casting="unsafe")
-            self._grad_stale = False
-        else:
+        if self.grad is not None:
             # In-place add keeps the buffer's dtype; "unsafe" permits
             # the float64 -> float32 narrowing the buffer policy implies.
             np.add(self.grad, grad, out=self.grad, casting="unsafe")
+            return
+        buf = self._grad_buf
+        if buf is None or buf.shape != data.shape or buf.dtype != data.dtype:
+            buf = self._grad_buf = grad.astype(data.dtype, copy=True)
+            if _PROFILER is not None:
+                _PROFILER._record_grad_alloc(self.name or "tensor",
+                                             buf.nbytes)
+        else:
+            # Bitwise the allocating branch's astype(dtype, copy=True).
+            np.copyto(buf, grad, casting="unsafe")
+        self.grad = buf
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -453,7 +460,13 @@ class Tensor:
     # Gradient / graph management
     # ------------------------------------------------------------------
     def zero_grad(self):
-        """Reset the accumulated gradient."""
+        """Reset the accumulated gradient to ``None``, keeping its buffer.
+
+        ``grad`` reads ``None`` until the next deposit, which overwrites
+        the kept buffer in place (see :meth:`_accumulate_grad`).  An
+        array read from ``grad`` before the reset is therefore
+        overwritten by the next backward; copy it to keep it.
+        """
         self.grad = None
 
     def detach(self):

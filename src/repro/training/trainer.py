@@ -200,16 +200,14 @@ class Trainer:
     def _restore_snapshot(self, snapshot):
         """Reinstall a :meth:`_take_snapshot` copy (keeps the current lr).
 
-        Installs *copies* of the optimizer slot arrays so the in-place
-        update kernels cannot mutate the snapshot itself — rolling back
-        twice to the same snapshot must restore the same state.
+        The snapshot's slot arrays are installed as they are: the next
+        optimizer step copies them into its arena and never writes
+        them, so rolling back twice to the same snapshot restores the
+        same state.
         """
         self.model.load_state_dict(snapshot["model"])
-        self.optimizer._state = [
-            {key: value.copy() if isinstance(value, np.ndarray) else value
-             for key, value in state.items()}
-            for state in snapshot["opt_state"]
-        ]
+        self.optimizer._state = [dict(state)
+                                 for state in snapshot["opt_state"]]
         self.optimizer._step_count = snapshot["step_count"]
         for param in self.optimizer.parameters:
             param.zero_grad()

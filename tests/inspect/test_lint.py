@@ -1,11 +1,14 @@
 """AST linter rules, config loading, and suppression syntax."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.inspect import LintConfig, lint_paths, load_config
 from repro.inspect.lint import ALL_RULES
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _lint_source(tmp_path, source, rel="src/repro/tensor/mod.py",
@@ -85,6 +88,21 @@ class TestOptimizerOut:
                     np.multiply(grad, 0.1, out=buf)
         """, rel="src/repro/optim/sgd.py")
         assert report.ok
+
+    def test_allocation_inside_the_block_kernel_is_flagged(self, tmp_path):
+        # The real Adam block kernel, clean as shipped, then with one
+        # allocating np.multiply added to it.
+        source = (REPO_ROOT / "src/repro/optim/adam.py").read_text()
+        assert _lint_source(tmp_path, source,
+                            rel="src/repro/optim/adam.py").ok
+        anchor = "        m *= beta1\n"
+        assert anchor in source
+        mutated = source.replace(
+            anchor, "        scaled = np.multiply(grad, 0.1)\n" + anchor)
+        report = _lint_source(tmp_path, mutated,
+                              rel="src/repro/optim/adam.py")
+        assert [f.rule for f in report.findings] == ["optimizer-out"]
+        assert "np.multiply" in report.findings[0].message
 
     def test_rule_is_scoped_to_update_functions(self, tmp_path):
         report = _lint_source(tmp_path, """

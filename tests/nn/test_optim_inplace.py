@@ -194,3 +194,194 @@ class TestAllocationCounters:
             opt = ref_cls(params, **kwargs)
             drive(opt, params, steps=2)
             assert opt.last_step_alloc_bytes > 0, name
+
+
+def _snapshot_state(optimizer):
+    return [{key: value.copy() if isinstance(value, np.ndarray) else value
+             for key, value in state.items()}
+            for state in optimizer._state]
+
+
+class TestArena:
+    """The flat arena behind every optimizer step (repro.optim.base)."""
+
+    def test_parameter_without_gradient_keeps_its_state(self):
+        params = make_params()
+        opt = Adam(params, lr=1e-3)
+        rng = np.random.default_rng(1)
+        drive(opt, params, steps=2)
+        before = _snapshot_state(opt)[1]
+        params[0].grad = rng.standard_normal(params[0].data.shape)
+        params[1].grad = None
+        params[2].grad = rng.standard_normal(params[2].data.shape)
+        opt.step()
+        after = opt._state[1]
+        assert after["t"] == before["t"] == 2
+        np.testing.assert_array_equal(after["m"], before["m"])
+        np.testing.assert_array_equal(after["v"], before["v"])
+        assert [state["t"] for state in opt._state] == [3, 2, 3]
+
+    def test_each_parameter_updates_with_its_own_step_count(self):
+        # Parameter 1 skips step 3, so from then on its t trails the
+        # others by one; every parameter must match an optimizer that
+        # only ever saw its own gradient stream, bitwise.
+        params = make_params()
+        alone = make_params()
+        opt = Adam(params, lr=1e-3, weight_decay=1e-2)
+        singles = [Adam([p], lr=1e-3, weight_decay=1e-2) for p in alone]
+        runs = []
+        sweep = opt._sweep
+
+        def recording_sweep(arena, flats, start, stop, t):
+            runs.append((start, stop, t))
+            sweep(arena, flats, start, stop, t)
+
+        opt._sweep = recording_sweep
+        rng = np.random.default_rng(5)
+        for step in range(6):
+            runs.clear()
+            for index, (param, twin) in enumerate(zip(params, alone)):
+                grad = rng.standard_normal(param.data.shape)
+                skip = step == 2 and index == 1
+                param.grad = None if skip else grad
+                twin.grad = None if skip else grad.copy()
+            opt.step()
+            for single, twin in zip(singles, alone):
+                if twin.grad is not None:
+                    single.step()
+        # Step 6: t is (6, 5, 6), so no two neighbours share a run.
+        assert runs == [(0, 1, 6), (1, 2, 5), (2, 3, 6)]
+        for param, twin in zip(params, alone):
+            np.testing.assert_array_equal(param.data, twin.data)
+        # Parameter 2 skips a step too: t becomes (7, 6, 6) ...
+        params[2].grad = None
+        runs.clear()
+        opt.step()
+        assert runs == [(0, 1, 7), (1, 2, 6)]
+        # ... and the two parameters with equal t share one run.
+        for param in params:
+            param.grad = np.ones_like(param.data)
+        runs.clear()
+        opt.step()
+        assert runs == [(0, 1, 8), (1, 3, 7)]
+
+    def test_gradients_and_state_live_in_the_arena(self):
+        params = make_params()
+        opt = Adam(params, lr=1e-3)
+        drive(opt, params, steps=1)
+        flat, views = opt.flat_grads()
+        for param, state, view in zip(params, opt._state, views):
+            assert param.grad is view and param._grad_buf is view
+            assert np.shares_memory(view, flat)
+            assert state["m"].base is not None
+            assert not np.shares_memory(state["m"], state["v"])
+        for param in params:
+            param.zero_grad()
+        assert all(param.grad is None for param in params)
+
+    @pytest.mark.parametrize("how", ["assign", "checkpoint", "snapshot"])
+    def test_replaced_state_is_copied_in_and_never_written(self, tmp_path,
+                                                           how):
+        from repro.training import Trainer
+
+        def run(replace):
+            model = _TinyModel()
+            trainer = Trainer(model)
+            opt = trainer.optimizer
+            drive_model(model, opt, steps=3)
+            installed = None
+            if replace:
+                if how == "assign":
+                    opt._state = _snapshot_state(opt)
+                elif how == "checkpoint":
+                    path = tmp_path / "ckpt.npz"
+                    save_checkpoint(path, model, opt)
+                    load_checkpoint(path, model, opt)
+                else:
+                    trainer._restore_snapshot(trainer._take_snapshot())
+                installed = [dict(state) for state in opt._state]
+                kept = _snapshot_state(opt)
+            drive_model(model, opt, steps=4, start=3)
+            if replace:
+                for index, (state, values) in enumerate(zip(installed, kept)):
+                    for key, value in state.items():
+                        np.testing.assert_array_equal(value, values[key])
+                        if isinstance(value, np.ndarray):
+                            assert opt._state[index][key] is not value
+            return model, opt
+
+        replaced, opt = run(True)
+        plain, _ = run(False)
+        for a, b in zip(replaced.parameters(), plain.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+        flat, _views = opt.flat_grads()
+        for state in opt._state:
+            assert state["m"].base is not None  # an arena view again
+
+    def test_rollback_twice_to_one_snapshot(self):
+        from repro.training import Trainer
+
+        model = _TinyModel()
+        trainer = Trainer(model)
+        drive_model(model, trainer.optimizer, steps=2)
+        snapshot = trainer._take_snapshot()
+        results = []
+        for _ in range(2):
+            trainer._restore_snapshot(snapshot)
+            drive_model(model, trainer.optimizer, steps=3, start=2)
+            results.append([p.data.copy() for p in model.parameters()])
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name,fast_cls,ref_cls,kwargs",
+                             PAIRS, ids=[p[0] for p in PAIRS])
+    def test_two_dtypes_step_like_one_optimizer_per_dtype(self, name,
+                                                          fast_cls, ref_cls,
+                                                          kwargs):
+        mixed = make_params()
+        split = make_params()
+        for group in (mixed, split):
+            group[1].data = group[1].data.astype(np.float32)
+        opt = fast_cls(mixed, **kwargs)
+        per_dtype = [fast_cls([split[0], split[2]], **kwargs),
+                     fast_cls([split[1]], **kwargs)]
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            for a, b in zip(mixed, split):
+                grad = rng.standard_normal(a.data.shape).astype(a.data.dtype)
+                a.grad, b.grad = grad, grad.copy()
+            opt.step()
+            for single in per_dtype:
+                single.step()
+        assert len(opt._arenas) == 2
+        for a, b in zip(mixed, split):
+            assert a.data.dtype == b.data.dtype
+            np.testing.assert_array_equal(a.data, b.data)
+        for state, param in zip(opt._state, mixed):
+            for value in state.values():
+                if isinstance(value, np.ndarray):
+                    assert value.dtype == param.data.dtype
+
+    def test_parameter_gradients_allocate_only_in_the_first_step(self):
+        # A serial fit allocates each parameter's gradient once; every
+        # later backward deposits into the optimizer's arena.
+        from repro.data import load_dataset, prepare_forecast_data
+        from repro.profiling import profile
+        from repro.training import TrainConfig, Trainer
+        from tests.robustness.injectors import ToyForecaster
+
+        data = prepare_forecast_data(load_dataset("nyc-bike", scale="tiny"),
+                                     max_train_samples=16,
+                                     max_test_samples=8)
+        model = ToyForecaster(data)
+        names = []
+        for index, param in enumerate(model.parameters()):
+            param.name = f"param{index}"
+            names.append(param.name)
+        trainer = Trainer(model, TrainConfig(epochs=3, batch_size=4,
+                                             sentinel=None))
+        with profile() as prof:
+            trainer.fit(data)
+        assert prof.optimizer_steps == 12
+        param_bytes = sum(p.data.nbytes for p in model.parameters())
+        assert sum(prof.stats[n].grad_bytes for n in names) == param_bytes

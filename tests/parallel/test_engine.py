@@ -51,6 +51,11 @@ def _engine_gradient(model, optimizer, train, batch_size, workers, n):
     with ParallelEngine(model, optimizer, train, batch_size, workers) as engine:
         steps = engine.epoch_steps(np.arange(n), epoch=0)
         loss, _reg = next(steps)
+        # The allreduce sums into the optimizer's gradient arena and
+        # installs its views: no private reduced buffer in between.
+        _flat, views = optimizer.flat_grads()
+        for param, view in zip(optimizer.parameters, views):
+            assert param.grad is None or param.grad is view
         grads = [param.grad.copy() if param.grad is not None else None
                  for param in model.parameters()]
         steps.close()

@@ -6,8 +6,9 @@ Two references pin the kernel down:
   pooling must not change a single bit (atol 0);
 - ``previous_conv2d`` / ``previous_conv2d_grads`` are the kernel this
   one replaced — a ``(rows, ck) x (ck, C_out)`` GEMM forward and a
-  per-offset ``tensordot`` backward.  They contract in another operand
-  order, so they agree to float tolerance, not bitwise.
+  per-offset ``tensordot`` backward with a col2im scatter of the input
+  gradient.  They contract in another operand order, so they agree to
+  float tolerance, not bitwise.
 """
 
 import tracemalloc
@@ -89,11 +90,29 @@ CASES = [
     ((1, 2), (2, 0), True),
 ]
 
-# (kernel, stride, padding, bias, x requires grad)
-GRAD_CASES = [(3, s, p, b, True) for s, p, b in CASES] + [
-    (1, 1, 0, True, True),    # 1x1 kernel: the im2col is a transpose
-    (3, 1, 1, True, False),   # input without grad: weight/bias only
+# (kernel, stride, padding, bias, x requires grad, (C_in, C_out))
+GRAD_CASES = [(3, s, p, b, True, (4, 5)) for s, p, b in CASES] + [
+    (1, 1, 0, True, True, (4, 5)),    # 1x1 kernel: the im2col is a transpose
+    (3, 1, 1, True, False, (4, 5)),   # input without grad: weight/bias only
+    (3, 2, 1, True, True, (3, 16)),   # C_out > C_in: channel axes swapped
+    (1, 1, 1, False, True, (4, 5)),   # padding >= kernel: gradient cropped
 ]
+
+
+def _grad_case_id(index, case):
+    """pytest's id for the first five fields, then any non-(4, 5) channels.
+
+    Keeps the ids the cases had before they carried channel counts.
+    """
+    names = ("k", "stride", "padding", "use_bias", "x_grad")
+    parts = [str(v) if isinstance(v, (int, bool)) else f"{name}{index}"
+             for name, v in zip(names, case)]
+    if case[5] != (4, 5):
+        parts.append("c{}to{}".format(*case[5]))
+    return "-".join(parts)
+
+
+GRAD_IDS = [_grad_case_id(i, case) for i, case in enumerate(GRAD_CASES)]
 
 # Set from the input scale, not from observed errors: inputs are
 # standard normal, so outputs reach ~10 and weight gradients ~100.
@@ -181,20 +200,50 @@ class TestBitwiseEquality:
 
         shared = ScratchPool()
         got = run(shared, shared)
-        assert len(shared) == 2  # one col, one GEMM buffer for both convs
+        # One col and one GEMM buffer serve both convs' forwards and
+        # input gradients; plus the padded gradient and flipped kernel.
+        assert len(shared) == 4
         expected = run(ScratchPool(), ScratchPool())
+        for a, c in zip(got, expected):
+            np.testing.assert_array_equal(a, c)
+
+    def test_padded_gradient_is_zeroed_on_every_call(self, rng):
+        """Two convs whose padded output gradients share a pooled buffer
+        (same key) but place their entries differently: padding 1 fills
+        rows 1-6 and columns 1-10 of it, padding 0 only rows 2-5 and
+        columns 2-9.  The second backward must see zeros, not the
+        first one's border."""
+        x = rng.standard_normal((8, 16, 6, 10))
+        w = rng.standard_normal((16, 16, 3, 3))
+
+        def run(pool_for):
+            grads = []
+            for padding in (1, 0):
+                xt = Tensor(x.copy(), requires_grad=True)
+                wt = Tensor(w.copy(), requires_grad=True)
+                out = conv2d(xt, wt, padding=padding, scratch=pool_for())
+                (out * out).sum().backward()
+                grads += [xt.grad, wt.grad]
+            return grads
+
+        shared = ScratchPool()
+        got = run(lambda: shared)
+        assert sum(tag == "conv2d.gpad" for tag, _, _ in shared._buffers) == 1
+        expected = run(ScratchPool)
         for a, c in zip(got, expected):
             np.testing.assert_array_equal(a, c)
 
 
 class TestMatchesPreviousKernel:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("k,stride,padding,use_bias,x_grad", GRAD_CASES)
+    @pytest.mark.parametrize("k,stride,padding,use_bias,x_grad,channels",
+                             GRAD_CASES, ids=GRAD_IDS)
     def test_output_and_gradients(self, rng, dtype, k, stride, padding,
-                                  use_bias, x_grad):
-        x = rng.standard_normal((3, 4, 9, 8)).astype(dtype)
-        w = rng.standard_normal((5, 4, k, k)).astype(dtype)
-        b = rng.standard_normal(5).astype(dtype) if use_bias else None
+                                  use_bias, x_grad, channels):
+        c_in, c_out = channels
+        x = rng.standard_normal((3, c_in, 9, 8)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype) if use_bias else None
         expected = previous_conv2d(x, w, b, stride=stride, padding=padding)
         upstream = rng.standard_normal(expected.shape).astype(dtype)
         out, grad_x, grad_w, grad_b = _run_conv(

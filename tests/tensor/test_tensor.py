@@ -69,6 +69,29 @@ class TestBackward:
         x.zero_grad()
         assert x.grad is None
 
+    def test_zero_grad_keeps_buffer_for_the_next_deposit(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        (x * 3).sum().backward()
+        buffer = x.grad
+        x.zero_grad()
+        assert x.grad is None
+        (x * 5).sum().backward()
+        assert x.grad is buffer  # same array object, no reallocation
+        np.testing.assert_array_equal(x.grad, [5.0, 5.0])  # overwritten
+        (x * 2).sum().backward()
+        np.testing.assert_array_equal(x.grad, [7.0, 7.0])  # then added
+
+    def test_kept_buffer_of_another_dtype_is_replaced(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        (x * 3).sum().backward()
+        buffer = x.grad
+        x.zero_grad()
+        x.data = x.data.astype(np.float32)
+        (x * 3).sum().backward()
+        assert x.grad is not buffer
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(buffer, [3.0, 3.0])
+
     def test_diamond_graph_accumulates_once_per_path(self):
         # y = x*x + x*x: gradient should be 4x, not 2x.
         x = Tensor(3.0, requires_grad=True)
