@@ -79,6 +79,13 @@ stage "data-parallel smoke fit (2 workers)"
 # replicas, shared-memory allreduce, sentinel + telemetry, clean drain.
 run python -m repro train MUSE-Net --profile ci --dtype float32 --workers 2
 
+stage "replica-pool smoke (2 replicas)"
+# End-to-end replica pool through the real CLI: forked replicas over
+# one shared parameter buffer, sharded rounds, clean teardown.  Exits 1
+# if served rows differ from the offline forward by more than 1e-12.
+run python -m repro serve MUSE-Net --profile ci --replicas 2 \
+    --requests 64 --concurrency 8
+
 stage "parallel-scaling bench (smoke)"
 # Always gates gradient equivalence (reduced == single-process batch
 # gradient at 4 workers); the 2.5x speedup gate self-disables on hosts

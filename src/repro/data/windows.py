@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,6 +90,10 @@ class SampleBatch:
             target=self.target.astype(dtype, copy=False),
             indices=self.indices,
         )
+
+
+#: Field names of :class:`SampleBatch`, in declaration order.
+BATCH_FIELDS = tuple(field.name for field in fields(SampleBatch))
 
 
 def build_samples(flows, periodicity: MultiPeriodicity, indices, horizon=1):

@@ -16,10 +16,11 @@ Rules (see ``docs/static_analysis.md`` for the catalog):
   literals or constructor calls).
 * ``fork-discipline`` — direct process-forking primitives
   (``os.fork``, ``multiprocessing.Process``/``Pool``/``get_context``)
-  outside :mod:`repro.parallel`.  The worker pool centralises fork
-  lifecycle, shared-memory cleanup, and signal handling; ad-hoc forks
-  elsewhere orphan children on interrupts and leak shared segments
-  (``src/repro/parallel`` is exempted via ``per-path-ignores``).
+  outside :mod:`repro.parallel.workers`.  Its ``WorkerSet`` centralises
+  fork lifecycle, shared-memory cleanup, and signal handling; ad-hoc
+  forks elsewhere orphan children on interrupts and leak shared
+  segments (``src/repro/parallel/workers.py`` is exempted via
+  ``per-path-ignores``).
 * ``alloc`` — numpy calls that allocate fresh arrays (constructors and
   ``out=``-capable functions called without ``out=``) under the
   configured ``alloc-paths`` prefixes.  Those modules are replay hot
@@ -337,11 +338,10 @@ class _FileLinter(ast.NodeVisitor):
         if origin is not None:
             self._emit(
                 "fork-discipline", node,
-                f"direct {origin} call outside repro.parallel; route "
-                "process-level parallelism through TrainConfig.workers / "
-                "repro.parallel.ParallelEngine so worker lifecycle, "
-                "shared-memory cleanup, and signal handling stay "
-                "centralised")
+                f"direct {origin} call outside repro.parallel.workers; "
+                "fork through repro.parallel.WorkerSet so worker "
+                "lifecycle, shared-memory cleanup, and signal handling "
+                "stay centralised")
 
     # -- bounded-buffer ------------------------------------------------
     def _check_bounded_buffer(self, node):

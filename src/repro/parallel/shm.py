@@ -1,4 +1,4 @@
-"""Shared-memory array blocks for the fork-based worker pool.
+"""Shared-memory array blocks for the forked-worker runtime.
 
 A :class:`SharedArrayBlock` owns one
 :class:`multiprocessing.shared_memory.SharedMemory` segment and exposes
@@ -8,14 +8,17 @@ no attach-by-name, pickling, or resource-tracker traffic happens on the
 hot path — a write on either side of the fork is immediately visible to
 the other.
 
-Blocks are used for three things (see :mod:`repro.parallel.engine`):
+Blocks hold:
 
-- the flat **parameter** buffer the parent's in-place optimizer updates
-  and every worker replica reads,
-- the per-worker **gradient shard** matrix the parent allreduces with a
-  single rank-ordered ``np.sum``, and
-- the double-buffered **batch ring** the prefetch producer fills while
-  workers compute.
+- the flat **parameter** buffer (:class:`repro.parallel.workers.SharedParams`)
+  that the parent writes in place — an optimizer step in training, a
+  checkpoint install in serving — and every worker reads;
+- the training engine's per-worker **gradient shard** matrix, which the
+  parent allreduces with a single rank-ordered ``np.sum``, and its
+  double-buffered **batch ring**, which the prefetch producer fills
+  while workers compute (:mod:`repro.parallel.engine`);
+- the serving pool's **request slot**: the coalesced batch, the output
+  rows, and the generation counter (:mod:`repro.serve.pool`).
 """
 
 from __future__ import annotations
@@ -59,21 +62,6 @@ class SharedArrayBlock:
                 view.fill(0)
             self.arrays[name] = view
         self._closed = False
-
-    @classmethod
-    def for_arrays(cls, arrays, copy=True):
-        """Build a block shaped like ``{name: ndarray}``, optionally copying.
-
-        With ``copy=True`` each source array's values are written into
-        the corresponding shared view — the one-time publication step a
-        serving pool performs before forking replicas.
-        """
-        block = cls({name: (np.shape(value), np.asarray(value).dtype)
-                     for name, value in arrays.items()})
-        if copy:
-            for name, value in arrays.items():
-                block.arrays[name][...] = value
-        return block
 
     def __getitem__(self, name):
         return self.arrays[name]

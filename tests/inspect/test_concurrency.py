@@ -395,6 +395,33 @@ class TestForkSafety:
         assert rules == ["fork-safety"], report.format_text()
         assert "Spawner.do_fork" in report.findings[0].message
 
+    def test_replica_scale_up_under_the_dispatch_lock_is_flagged(
+            self, tmp_path):
+        # The pool's dispatch lock and the fork it reaches through
+        # WorkerSet.scale_to live in different modules; the checker must
+        # still connect them.  Run it over copies of the real modules,
+        # as committed and with the scale-up moved under the lock.
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        pool = (root / "src/repro/serve/pool.py").read_text()
+        workers = {"src/repro/parallel/workers.py":
+                   (root / "src/repro/parallel/workers.py").read_text()}
+        call = "        return self._workers.scale_to(replicas)\n"
+        assert pool.count(call) == 1
+        locked = pool.replace(
+            call, "        with self._lock:\n    " + call)
+
+        clean = _check_source(tmp_path / "clean", pool,
+                              rel="src/repro/serve/pool.py", extra=workers)
+        assert clean.ok, clean.format_text()
+        report = _check_source(tmp_path / "locked", locked,
+                               rel="src/repro/serve/pool.py", extra=workers)
+        rules = [f.rule for f in report.findings]
+        assert rules == ["fork-safety"], report.format_text()
+        assert "WorkerSet.scale_to" in report.findings[0].message
+        assert "ReplicaPool._lock" in report.findings[0].message
+
 
 class TestReportAndGate:
     def test_report_shape(self, tmp_path):

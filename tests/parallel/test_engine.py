@@ -10,6 +10,7 @@ the run is bit-deterministic run-to-run.
 
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -227,6 +228,23 @@ class TestFailureModes:
                 list(engine.epoch_steps(np.arange(8), epoch=0))
         assert multiprocessing.active_children() == []
 
+    def test_killed_worker_fails_the_next_step(self, tiny_data):
+        # A worker that dies between steps must surface as the engine's
+        # own error (the CLI maps it to a one-line exit 1), not as a
+        # raw BrokenPipeError from the dispatch.
+        model, optimizer, train, _ = _toy_setup(tiny_data, n=16)
+        with ParallelEngine(model, optimizer, train, 4, 2) as engine:
+            steps = engine.epoch_steps(np.arange(16), epoch=0)
+            next(steps)
+            victim = sorted(multiprocessing.active_children(),
+                            key=lambda proc: proc.name)[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(5.0)
+            with pytest.raises(ParallelWorkerError,
+                               match=r"worker 1 died \(exit code -9\)"):
+                next(steps)
+        assert multiprocessing.active_children() == []
+
     def test_constructor_validation(self, tiny_data):
         model = ToyForecaster(tiny_data)
         optimizer = Adam(model.parameters(), lr=1e-3)
@@ -234,8 +252,6 @@ class TestFailureModes:
             ParallelEngine(model, optimizer, tiny_data.train, 8, 0)
         with pytest.raises(ValueError, match="batch_size"):
             ParallelEngine(model, optimizer, tiny_data.train, 0, 2)
-        with pytest.raises(ValueError, match="slots"):
-            ParallelEngine(model, optimizer, tiny_data.train, 8, 2, slots=1)
 
     def test_mixed_parameter_dtypes_rejected(self, tiny_data):
         model = ToyForecaster(tiny_data)

@@ -11,6 +11,7 @@ detectors (lock-order, fork-safety, long-hold, unjoined-thread) stayed
 silent under the perturbed schedule.
 """
 
+import multiprocessing
 import os
 import threading
 
@@ -304,4 +305,54 @@ class TestPoolCloseStressed:
                 assert np.allclose(payload, expected, atol=1e-9)
             else:
                 assert "not running" in payload
+        assert not session.findings, session.format_text()
+
+
+class TestPoolScaleStressed:
+    def test_predicts_racing_scale_to_stay_exact(self, tiny_data):
+        # Replicas join and leave only between rounds, so every chunk is
+        # sharded over one layout: whatever the interleaving with
+        # scale_to, each answer equals the offline forward.
+        test = tiny_data.test
+        model = TinyForecaster(tiny_data, seed=0)
+        with no_grad():
+            expected = np.asarray(
+                TinyForecaster(tiny_data, seed=0).predict(test))
+        results, errors = [], []
+        results_lock = threading.Lock()
+        with sanitizer.enabled(stress=True, seed=11,
+                               max_sleep_ms=0.5) as session:
+            with ReplicaPool(model, test, replicas=1, max_batch=8) as pool:
+                barrier = threading.Barrier(4)
+
+                def client():
+                    barrier.wait(timeout=10.0)
+                    for _ in range(6):
+                        try:
+                            rows, _ = pool.predict(test)
+                        except Exception as exc:  # reported below
+                            errors.append(repr(exc))
+                        else:
+                            with results_lock:
+                                results.append(rows)
+
+                def scaler():
+                    barrier.wait(timeout=10.0)
+                    for size in (3, 1, 2, 1, 3):
+                        assert pool.scale_to(size) == size
+
+                threads = [threading.Thread(target=client, name=f"client-{i}")
+                           for i in range(3)]
+                threads.append(threading.Thread(target=scaler, name="scaler"))
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                    assert not t.is_alive()
+                assert pool.size == 3
+        assert errors == []
+        assert len(results) == 18
+        for rows in results:
+            np.testing.assert_allclose(rows, expected, atol=1e-12, rtol=0)
+        assert multiprocessing.active_children() == []
         assert not session.findings, session.format_text()
