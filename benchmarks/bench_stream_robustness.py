@@ -47,7 +47,6 @@ import tempfile
 import numpy as np
 
 from repro.data.windows import build_samples
-from repro.profiling import OpProfiler, profile
 from repro.stream import simulate as sim
 from repro.training import Trainer
 
@@ -100,19 +99,17 @@ def run_level_shift(seed=0, epochs=8):
     scenario = sim.make_scenario("level_shift", seed=seed)
     state = sim.train_offline(scenario, epochs=epochs, seed=seed)
     arms = {}
-    profiler = OpProfiler()
     for arm, adaptive in (("adaptive", True), ("frozen", False)):
         with tempfile.TemporaryDirectory(prefix="bench-stream-") as ckpt:
             runtime = sim.build_runtime(scenario, state, adaptive=adaptive,
                                         checkpoint_dir=ckpt, seed=seed)
-            with runtime, profile(profiler):
+            with runtime:
                 results = sim.run_scenario(scenario, runtime)
                 telemetry = runtime.telemetry()
         report = sim.evaluate_results(scenario, results)
         pre, recovery = report["pre"], report["recovery"]
         ratio = (recovery["nrmse"] / pre["nrmse"]
                  if pre and recovery else float("nan"))
-        counters = profiler.as_dict()
         arms[arm] = {
             "pre_nrmse": pre["nrmse"] if pre else None,
             "post_nrmse": report["post"]["nrmse"] if report["post"] else None,
@@ -122,10 +119,9 @@ def run_level_shift(seed=0, epochs=8):
             "drifts": len(telemetry["drift_events"]),
             "retrains": telemetry["retrains"],
             "retrain_failures": len(telemetry["retrain_failures"]),
-            "retrain_s_total": counters["stream_retrain_s"],
+            "retrain_s_total": telemetry["retrain_s"],
             "fallbacks": telemetry["fallbacks"],
         }
-        profiler.reset()
     return arms
 
 

@@ -76,8 +76,10 @@ run python benchmarks/bench_train_throughput.py --smoke --min-speedup 1.1 \
 
 stage "data-parallel smoke fit (2 workers)"
 # End-to-end worker-pool exercise through the real CLI: forked
-# replicas, shared-memory allreduce, sentinel + telemetry, clean drain.
-run python -m repro train MUSE-Net --profile ci --dtype float32 --workers 2
+# replicas, shared-memory allreduce, sentinel + telemetry, clean drain;
+# --profile-ops renders the op summary next to the engine's telemetry.
+run python -m repro train MUSE-Net --profile ci --dtype float32 --workers 2 \
+    --profile-ops
 
 stage "replica-pool smoke (2 replicas)"
 # End-to-end replica pool through the real CLI: forked replicas over

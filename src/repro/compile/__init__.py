@@ -28,10 +28,10 @@ pinned to eager, with the reason surfaced in ``report()`` /
 
 from repro.compile.forward import CompiledForward, ForwardCompiler
 from repro.compile.plan import ExecutionPlan, batch_signature
-from repro.compile.recorder import Recorder, record
+from repro.compile.recorder import Recorder
 from repro.compile.step import CompiledStep, StepCompiler
 
 __all__ = [
     "CompiledForward", "ForwardCompiler", "ExecutionPlan",
-    "batch_signature", "Recorder", "record", "CompiledStep", "StepCompiler",
+    "batch_signature", "Recorder", "CompiledStep", "StepCompiler",
 ]

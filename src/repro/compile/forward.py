@@ -21,6 +21,10 @@ buffer — the arena rows are reused by the next replay while callers
 Hot-swapping is compatible by construction:
 ``Module.load_state_dict`` writes parameter arrays in place, and the
 kernels read those same arrays on every replay.
+
+Like :class:`~repro.compile.step.StepCompiler`, every call runs eager
+while ``detect_anomaly()`` is active: replay bypasses the per-op checks
+that mode installs.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ from repro.tensor import tensor as _core
 from repro.tensor.tensor import no_grad
 
 __all__ = ["CompiledForward", "ForwardCompiler"]
+
+
+def _bitwise_equal(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True))
 
 
 def _root_of(array):
@@ -140,12 +149,12 @@ class CompiledForward:
 class ForwardCompiler:
     """Per-batch-size plan cache around ``model.predict``."""
 
-    def __init__(self, model, profiler=None):
+    def __init__(self, model):
         self.model = model
-        self.profiler = profiler
         self._plans = {}  # signature -> CompiledForward | reason str
         self._fallbacks = {}
         self.plans_built = 0
+        self.build_s = 0.0  # wall time spent building those plans
         self.plans_validated = 0
         self.compiled_forwards = 0
         self.eager_forwards = 0
@@ -157,6 +166,12 @@ class ForwardCompiler:
         Not thread-safe by itself — the server calls it under its
         forward lock, the same discipline the eager path uses.
         """
+        if _core._ANOMALY_HOOK is not None:
+            # Anomaly mode checks every _from_op call; replay bypasses
+            # _from_op entirely, so honor the debug request.
+            self._fallbacks.setdefault("detect_anomaly",
+                                       "detect_anomaly() is active")
+            return self._eager(batch)
         signature = batch_signature(batch)
         entry = self._plans.get(signature)
         if isinstance(entry, str):
@@ -167,8 +182,6 @@ class ForwardCompiler:
             return self._shadow(signature, entry, batch)
         result = entry.replay(batch)
         self.compiled_forwards += 1
-        if self.profiler is not None:
-            self.profiler._record_compiled_step()
         return result
 
     def report(self):
@@ -176,6 +189,7 @@ class ForwardCompiler:
                  if isinstance(p, CompiledForward)]
         return {
             "plans_built": self.plans_built,
+            "build_s": self.build_s,
             "plans_validated": self.plans_validated,
             "compiled_forwards": self.compiled_forwards,
             "eager_forwards": self.eager_forwards,
@@ -246,26 +260,24 @@ class ForwardCompiler:
 
         # Build validation: rewind the rng(s), replay the same batch —
         # the compiled output must equal the eager one bitwise.
+        # ``prediction`` is the plan's output buffer, which the replay
+        # rewrites, so the eager answer is copied out first; the copy
+        # is also what the caller gets.
+        eager = prediction.copy()
         post = self._snapshot_rngs()
         self._restore_rngs(states)
         replayed = step.replay(batch)
         self._restore_rngs(post)
-        if not (replayed.shape == prediction.shape
-                and replayed.dtype == prediction.dtype
-                and np.array_equal(replayed, prediction, equal_nan=True)):
+        if not _bitwise_equal(replayed, eager):
             reason = "build validation failed: replay diverged from eager"
             self._plans[signature] = reason
             self._fallbacks.setdefault(str(signature), reason)
-            return prediction
+            return eager
 
         self._plans[signature] = step
         self.plans_built += 1
-        if self.profiler is not None:
-            self.profiler._record_compile_plan(perf_counter() - started,
-                                               arena_bytes, reuse_pct)
-        # ``prediction`` is now the plan's output buffer — the next
-        # replay rewrites it, so the caller gets its own copy.
-        return prediction.copy()
+        self.build_s += perf_counter() - started
+        return eager
 
     def _shadow(self, signature, step, batch):
         """First replay on fresh data, shadowed by an eager predict."""
@@ -273,8 +285,7 @@ class ForwardCompiler:
         replayed = step.replay(batch)
         self._restore_rngs(states)
         eager = self._eager(batch)
-        if (replayed.shape == eager.shape and replayed.dtype == eager.dtype
-                and np.array_equal(replayed, eager, equal_nan=True)):
+        if _bitwise_equal(replayed, eager):
             step.trusted = True
             self.plans_validated += 1
         else:

@@ -1,8 +1,10 @@
 """Kernel recording: capture one step as an in-place replay schedule.
 
 A :class:`Recorder` installs into the tensor core's ``_RECORDER`` hook
-(see :func:`record`).  While active, every op site registers a *refresh
-record* describing how to recompute its output buffer in place:
+(``repro.tensor.tensor._set_recorder``; the compilers install one
+around the step they record).  While active, every op site registers a
+*refresh record* describing how to recompute its output buffer in
+place:
 
 ``_Spec``
     A single ``out=``-dispatched numpy call — ``fn(*srcs, out=out,
@@ -32,10 +34,9 @@ never corrupts the eager step that was running under it.
 
 from __future__ import annotations
 
-from repro.tensor import tensor as _core
 from repro.tensor.scratch import ScratchPool
 
-__all__ = ["Recorder", "record"]
+__all__ = ["Recorder"]
 
 
 class _Spec:
@@ -160,23 +161,3 @@ class Recorder:
             self.fail(f"op '{self._pending}' registered no replay kernel")
         return self.failure
 
-
-class record:
-    """Context manager installing a :class:`Recorder` on the op hook.
-
-    >>> with record() as rec:              # doctest: +SKIP
-    ...     loss = model.training_loss(batch, rng)[0].total
-    >>> rec.finalize() is None             # doctest: +SKIP
-    """
-
-    def __init__(self, recorder=None):
-        self.recorder = recorder if recorder is not None else Recorder()
-        self._previous = None
-
-    def __enter__(self):
-        self._previous = _core._set_recorder(self.recorder)
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb):
-        _core._set_recorder(self._previous)
-        return False

@@ -138,6 +138,7 @@ class StepCompiler:
         self._plans = {}  # signature -> CompiledStep | fallback-reason str
         self._fallbacks = {}  # short signature repr -> reason
         self.plans_built = 0
+        self.build_s = 0.0  # wall time spent building those plans
         self.plans_validated = 0
         self.compiled_steps = 0
         self.eager_steps = 0
@@ -168,7 +169,6 @@ class StepCompiler:
         result = entry.replay(batch)
         self.compiled_steps += 1
         if profiler is not None:
-            profiler._record_compiled_step()
             profiler.mark()
         return result
 
@@ -178,6 +178,7 @@ class StepCompiler:
                  if isinstance(p, CompiledStep)]
         return {
             "plans_built": self.plans_built,
+            "build_s": self.build_s,
             "plans_validated": self.plans_validated,
             "compiled_steps": self.compiled_steps,
             "eager_steps": self.eager_steps,
@@ -275,9 +276,9 @@ class StepCompiler:
         # everything observable must be bitwise the eager warmup.
         state_post = _rng_state(self.rng)
         saved = self._param_grads()
-        self.rng.bit_generator.state = _rng_state_copy(state_pre)
+        self.rng.bit_generator.state = state_pre
         replay_loss, replay_reg = step.replay(batch)
-        self.rng.bit_generator.state = _rng_state_copy(state_post)
+        self.rng.bit_generator.state = state_post
         if (replay_loss != loss_value or replay_reg != reg_value
                 or not self._grads_equal(saved, self.optimizer.parameters)):
             for param, grad in saved:
@@ -293,9 +294,8 @@ class StepCompiler:
 
         self._plans[signature] = step
         self.plans_built += 1
+        self.build_s += perf_counter() - started
         if profiler is not None:
-            profiler._record_compile_plan(perf_counter() - started,
-                                          arena_bytes, reuse_pct)
             profiler.mark()
         self.eager_steps += 1  # the warmup itself ran eagerly
         return loss_value, reg_value
@@ -305,7 +305,7 @@ class StepCompiler:
         state_pre = _rng_state(self.rng)
         replay_loss, replay_reg = step.replay(batch)
         saved = self._param_grads()
-        self.rng.bit_generator.state = _rng_state_copy(state_pre)
+        self.rng.bit_generator.state = state_pre
         eager_loss, eager_reg = self._eager(batch, profiler)
         if (eager_loss == replay_loss and eager_reg == replay_reg
                 and self._grads_equal(saved, self.optimizer.parameters)):
@@ -320,7 +320,3 @@ class StepCompiler:
         # Either way the eager results are authoritative (identical when
         # validation passed).
         return eager_loss, eager_reg
-
-
-def _rng_state_copy(state):
-    return copy.deepcopy(state)

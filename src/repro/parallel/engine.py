@@ -249,8 +249,6 @@ class ParallelEngine:
                 self.reduce_count += 1
                 profiler = _tensor_core._PROFILER
                 if profiler is not None:
-                    profiler._record_parallel_step(
-                        perf_counter() - begin, stall)
                     profiler.mark()
                 loss = sum(r[0] * (r[2] / n) for r in replies)
                 reg = sum(r[1] * (r[2] / n) for r in replies)

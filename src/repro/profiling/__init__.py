@@ -1,12 +1,17 @@
 """Instrumentation for the autodiff runtime.
 
 - :func:`profile` / :class:`OpProfiler` — per-op forward/backward wall
-  time, call counts, output bytes, and tape-memory accounting, hooked
-  into the engine's two choke points (``Tensor._from_op`` and
-  ``Tensor.backward``).  Zero cost when no profiler is installed.
+  time, call counts, output bytes, tape-memory and allocation
+  accounting, hooked into the engine's two choke points
+  (``Tensor._from_op`` and ``Tensor.backward``).  Zero cost when no
+  profiler is installed.
 - :func:`format_op_summary` — render a collected profile as a table.
 
-See the "Profiling & telemetry" section of ``docs/api.md``.
+The profiler counts ops only.  Training, serving, streaming and the
+compilers report their own counters (``History.parallel``,
+``ForecastServer.snapshot()``, ``StreamRuntime.telemetry()``,
+``report()``); see the "Profiling & telemetry" section of
+``docs/api.md`` for where each one lives.
 """
 
 from repro.profiling.op_profiler import (

@@ -11,11 +11,13 @@ hooks reduce to a single ``None`` check; when one is installed via
   since the previous recorded op, which in this synchronous single-
   threaded engine is dominated by the op's own numpy work),
 - per-op *backward* wall time (each closure is timed directly),
-- call counts and cumulative output bytes, and
+- call counts and cumulative output bytes,
 - tape accounting: bytes of op outputs currently held by the tape,
   with a high-water mark (``peak_tape_bytes``) that drops when
   ``backward()`` frees the graph (see the tape-lifecycle notes in
-  ``Tensor.backward``).
+  ``Tensor.backward``), and
+- allocation accounting: fresh forward outputs, gradient buffers, and
+  the bytes each optimizer step allocates.
 
 Forward attribution is an approximation at the boundaries: the first op
 after non-tensor work (data slicing, an optimizer step) absorbs that
@@ -78,61 +80,7 @@ class OpProfiler:
     """
 
     def __init__(self):
-        self.stats = {}
-        self.tape_bytes = 0
-        self.peak_tape_bytes = 0
-        # Allocation accounting: gradient buffers allocated during
-        # backward (attributed per op below), and bytes the optimizer
-        # reports allocating inside step() — zero per steady-state step
-        # for the in-place kernels, ~a dozen temporaries per parameter
-        # for the reference kernels.
-        self.grad_alloc_bytes = 0
-        self.optimizer_alloc_bytes = 0
-        self.optimizer_steps = 0
-        # Data-parallel counters (repro.parallel): time spent in the
-        # parent's shared-memory gradient allreduce, and time the step
-        # loop stalled waiting on the prefetch ring.
-        self.parallel_steps = 0
-        self.parallel_reduce_s = 0.0
-        self.prefetch_stall_s = 0.0
-        # Serving counters (repro.serve): micro-batched forwards run by
-        # a ForecastServer, wall time inside them, requests coalesced,
-        # and cumulative queue wait across those requests.
-        self.serve_batches = 0
-        self.serve_batch_s = 0.0
-        self.serve_requests = 0
-        self.serve_queue_wait_s = 0.0
-        # Result-cache counters (repro.serve.results): streaming
-        # forecasts answered from the generation-keyed cache (hits +
-        # coalesced joiners) vs. forecasts that ran a model forward.
-        self.serve_cache_hits = 0
-        self.serve_cache_misses = 0
-        # Forward-allocation accounting: bytes of *fresh* op-output
-        # arrays (views excluded) materialised by the eager engine.
-        # Compiled replay bypasses ``_from_op`` entirely, so this
-        # counter is the eager-vs-compiled allocation delta the
-        # throughput bench reports per arm.
-        self.forward_alloc_bytes = 0
-        # Compile counters (repro.compile): plans built, wall time
-        # spent building them, arena footprint of the latest plan, its
-        # buffer-reuse percentage, and replayed (non-eager) steps.
-        self.compile_plans = 0
-        self.compile_plan_s = 0.0
-        self.arena_bytes = 0
-        self.arena_reuse_pct = 0.0
-        self.compiled_steps = 0
-        # Streaming counters (repro.stream): ticks ingested, gap frames
-        # carried forward, ticks quarantined, confirmed drifts, warm
-        # retrains (and their wall time), and forecasts answered by the
-        # degradation ladder instead of the model.
-        self.stream_ticks = 0
-        self.stream_gap_fills = 0
-        self.stream_quarantined = 0
-        self.stream_drifts = 0
-        self.stream_retrains = 0
-        self.stream_retrain_s = 0.0
-        self.stream_fallbacks = 0
-        self._last = time.perf_counter()
+        self.reset()
 
     # -- hooks called by the tensor core ------------------------------
     def mark(self):
@@ -178,56 +126,6 @@ class OpProfiler:
         self.optimizer_steps += 1
         self.optimizer_alloc_bytes += alloc_bytes
 
-    def _record_parallel_step(self, reduce_seconds, stall_seconds):
-        """One data-parallel step: allreduce time + prefetch stall."""
-        self.parallel_steps += 1
-        self.parallel_reduce_s += reduce_seconds
-        self.prefetch_stall_s += stall_seconds
-
-    def _record_serve_batch(self, seconds, requests, queue_wait_s):
-        """One micro-batched serving forward over ``requests`` requests."""
-        self.serve_batches += 1
-        self.serve_batch_s += seconds
-        self.serve_requests += requests
-        self.serve_queue_wait_s += queue_wait_s
-
-    def _record_serve_cache(self, hit):
-        """One streaming forecast request hit (or missed) the result cache."""
-        if hit:
-            self.serve_cache_hits += 1
-        else:
-            self.serve_cache_misses += 1
-
-    def _record_compile_plan(self, seconds, arena_bytes, reuse_pct):
-        """One compiled plan was built in ``seconds`` wall time."""
-        self.compile_plans += 1
-        self.compile_plan_s += seconds
-        self.arena_bytes = arena_bytes
-        self.arena_reuse_pct = reuse_pct
-
-    def _record_compiled_step(self):
-        """One training/serving step executed via compiled replay."""
-        self.compiled_steps += 1
-
-    def _record_stream_tick(self, gap_fills=0, quarantined=0):
-        """One tick processed by the stream runtime."""
-        self.stream_ticks += 1
-        self.stream_gap_fills += gap_fills
-        self.stream_quarantined += quarantined
-
-    def _record_stream_drift(self):
-        """The drift sentinel confirmed one sustained drift."""
-        self.stream_drifts += 1
-
-    def _record_stream_retrain(self, seconds):
-        """One warm re-training attempt took ``seconds`` wall time."""
-        self.stream_retrains += 1
-        self.stream_retrain_s += seconds
-
-    def _record_stream_fallback(self):
-        """One forecast was answered by the degradation ladder."""
-        self.stream_fallbacks += 1
-
     # -- reading results ----------------------------------------------
     @property
     def total_forward_s(self):
@@ -244,31 +142,19 @@ class OpProfiler:
         self.stats = {}
         self.tape_bytes = 0
         self.peak_tape_bytes = 0
+        # Allocation accounting: gradient buffers allocated during
+        # backward (attributed per op below), and bytes the optimizer
+        # reports allocating inside step() — zero per steady-state step
+        # for the in-place kernels, ~a dozen temporaries per parameter
+        # for the reference kernels.
         self.grad_alloc_bytes = 0
         self.optimizer_alloc_bytes = 0
         self.optimizer_steps = 0
-        self.parallel_steps = 0
-        self.parallel_reduce_s = 0.0
-        self.prefetch_stall_s = 0.0
-        self.serve_batches = 0
-        self.serve_batch_s = 0.0
-        self.serve_requests = 0
-        self.serve_queue_wait_s = 0.0
-        self.serve_cache_hits = 0
-        self.serve_cache_misses = 0
+        # Bytes of *fresh* op-output arrays (views excluded) materialised
+        # by the eager engine.  Compiled replay bypasses ``_from_op``
+        # entirely, so this counter is the eager-vs-compiled allocation
+        # delta the throughput bench reports per arm.
         self.forward_alloc_bytes = 0
-        self.compile_plans = 0
-        self.compile_plan_s = 0.0
-        self.arena_bytes = 0
-        self.arena_reuse_pct = 0.0
-        self.compiled_steps = 0
-        self.stream_ticks = 0
-        self.stream_gap_fills = 0
-        self.stream_quarantined = 0
-        self.stream_drifts = 0
-        self.stream_retrains = 0
-        self.stream_retrain_s = 0.0
-        self.stream_fallbacks = 0
         self.mark()
 
     def as_dict(self):
@@ -281,28 +167,7 @@ class OpProfiler:
             "grad_alloc_bytes": self.grad_alloc_bytes,
             "optimizer_alloc_bytes": self.optimizer_alloc_bytes,
             "optimizer_steps": self.optimizer_steps,
-            "parallel_steps": self.parallel_steps,
-            "parallel_reduce_s": self.parallel_reduce_s,
-            "prefetch_stall_s": self.prefetch_stall_s,
-            "serve_batches": self.serve_batches,
-            "serve_batch_s": self.serve_batch_s,
-            "serve_requests": self.serve_requests,
-            "serve_queue_wait_s": self.serve_queue_wait_s,
-            "serve_cache_hits": self.serve_cache_hits,
-            "serve_cache_misses": self.serve_cache_misses,
             "forward_alloc_bytes": self.forward_alloc_bytes,
-            "compile_plans": self.compile_plans,
-            "compile_plan_s": self.compile_plan_s,
-            "arena_bytes": self.arena_bytes,
-            "arena_reuse_pct": self.arena_reuse_pct,
-            "compiled_steps": self.compiled_steps,
-            "stream_ticks": self.stream_ticks,
-            "stream_gap_fills": self.stream_gap_fills,
-            "stream_quarantined": self.stream_quarantined,
-            "stream_drifts": self.stream_drifts,
-            "stream_retrains": self.stream_retrains,
-            "stream_retrain_s": self.stream_retrain_s,
-            "stream_fallbacks": self.stream_fallbacks,
         }
 
     def summary(self, limit=12):
@@ -348,46 +213,6 @@ def format_op_summary(op_profile, limit=12):
         lines.append(
             f"optimizer: {steps} step(s), {opt_bytes / 2**20:.2f} MiB "
             f"allocated ({opt_bytes / steps / 2**10:.1f} KiB/step)"
-        )
-    par_steps = op_profile.get("parallel_steps", 0)
-    if par_steps:
-        reduce_s = op_profile.get("parallel_reduce_s", 0.0)
-        stall_s = op_profile.get("prefetch_stall_s", 0.0)
-        lines.append(
-            f"parallel: {par_steps} step(s), reduce "
-            f"{reduce_s * 1e3:.2f} ms ({reduce_s / par_steps * 1e3:.3f} "
-            f"ms/step), prefetch stall {stall_s * 1e3:.2f} ms"
-        )
-    serve_batches = op_profile.get("serve_batches", 0)
-    if serve_batches:
-        requests = op_profile.get("serve_requests", 0)
-        batch_s = op_profile.get("serve_batch_s", 0.0)
-        wait_s = op_profile.get("serve_queue_wait_s", 0.0)
-        lines.append(
-            f"serve: {serve_batches} micro-batch(es) over {requests} "
-            f"request(s) ({requests / serve_batches:.1f} req/batch), "
-            f"forward {batch_s * 1e3:.2f} ms, queue wait "
-            f"{wait_s * 1e3:.2f} ms"
-        )
-    stream_ticks = op_profile.get("stream_ticks", 0)
-    if stream_ticks:
-        lines.append(
-            f"stream: {stream_ticks} tick(s), "
-            f"{op_profile.get('stream_gap_fills', 0)} gap fill(s), "
-            f"{op_profile.get('stream_quarantined', 0)} quarantined, "
-            f"{op_profile.get('stream_drifts', 0)} drift(s), "
-            f"{op_profile.get('stream_retrains', 0)} retrain(s) in "
-            f"{op_profile.get('stream_retrain_s', 0.0):.2f} s, "
-            f"{op_profile.get('stream_fallbacks', 0)} fallback(s)"
-        )
-    plans = op_profile.get("compile_plans", 0)
-    if plans:
-        lines.append(
-            f"compile: {plans} plan(s) built in "
-            f"{op_profile.get('compile_plan_s', 0.0) * 1e3:.2f} ms, arena "
-            f"{op_profile.get('arena_bytes', 0) / 2**20:.2f} MiB "
-            f"({op_profile.get('arena_reuse_pct', 0.0):.1f}% reuse), "
-            f"{op_profile.get('compiled_steps', 0)} compiled step(s)"
         )
     return "\n".join(lines)
 

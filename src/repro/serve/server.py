@@ -20,9 +20,8 @@ and embedding applications use.  It composes the serving subsystem:
 - optionally an :class:`~repro.serve.autoscale.AutoScaler` resizing the
   replica pool between ``[min_replicas, max_replicas]`` from
   queue-depth/queue-wait telemetry (``max_replicas >= 1``);
-- :class:`~repro.serve.stats.LatencyStats` and the active
-  :class:`~repro.profiling.OpProfiler`'s serve counters for
-  p50/p99/throughput instrumentation.
+- :class:`~repro.serve.stats.LatencyStats` for p50/p99/throughput
+  instrumentation, read through :meth:`ForecastServer.snapshot`.
 
 Checkpoint hot-swap (:meth:`load_checkpoint`) installs verified weights
 with **one write** — into the shared flat buffer under the pool's
@@ -45,7 +44,6 @@ import numpy as np
 
 from repro.data.windows import SampleBatch
 from repro.inspect import sanitizer
-from repro.profiling import get_active_profiler
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import WindowCache
 from repro.serve.results import ForecastCache
@@ -167,8 +165,7 @@ class ForecastServer:
         if self.config.compile:
             from repro.compile import ForwardCompiler
 
-            self._compiler = ForwardCompiler(
-                model, profiler=get_active_profiler())
+            self._compiler = ForwardCompiler(model)
         self._template = template
         self._batcher = None
         self._started = False
@@ -211,7 +208,8 @@ class ForecastServer:
                 blas_threads=self.config.blas_threads).start()
         self._batcher = MicroBatcher(
             self._forward, max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms, on_batch=self._on_batch)
+            max_wait_ms=self.config.max_wait_ms,
+            on_batch=self.stats.record_batch)
         if self.config.max_replicas > 0:
             from repro.serve.autoscale import AutoScaleConfig, AutoScaler
 
@@ -256,13 +254,6 @@ class ForecastServer:
                 return self._compiler.forward(batch)
             with no_grad():
                 return np.asarray(self.model.predict(batch))
-
-    def _on_batch(self, requests, samples, forward_s, waits, latencies):
-        self.stats.record_batch(requests, samples, forward_s, waits,
-                                latencies)
-        profiler = get_active_profiler()
-        if profiler is not None:
-            profiler._record_serve_batch(forward_s, requests, sum(waits))
 
     def submit(self, batch: SampleBatch):
         """Enqueue a request; returns a future of its prediction rows."""
@@ -362,9 +353,6 @@ class ForecastServer:
         index = self.cache.next_index
         key = (index, generation)
         kind, token = self.results.lookup(key)
-        profiler = get_active_profiler()
-        if profiler is not None:
-            profiler._record_serve_cache(hit=kind != "owner")
         if kind == "hit":
             return token, index, generation
         if kind == "join":

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.data.windows import SampleBatch
 from repro.metrics import rmse
-from repro.profiling import get_active_profiler
 from repro.serve.cache import WindowCache
 from repro.serve.server import ForecastServer, ServeConfig
 from repro.stream.adapt import AdaptationConfig, AdaptationError, warm_retrain
@@ -197,6 +196,7 @@ class StreamRuntime:
         self._adapt_rounds = 0
         self.masked_cells = 0
         self.retrains = 0
+        self.retrain_s = 0.0  # wall time of every adapt(), failed or not
         self.retrain_failures = deque(maxlen=_MAX_FAILURE_RECORDS)
         self.fallbacks = {}  # source -> count
         self.drift_events = []  # indices where drift was confirmed
@@ -268,7 +268,6 @@ class StreamRuntime:
 
     def _apply(self, kind, index, frame):
         """Advance the stream clock by one ordered interval."""
-        profiler = get_active_profiler()
         self.server.note_tick()
         if kind == "gap":
             self.cache.push_gap()
@@ -276,8 +275,6 @@ class StreamRuntime:
             self.history.append(fill)
             # Climatology and persistence track *observations* only: a
             # carry-forward fill teaches them nothing.
-            if profiler is not None:
-                profiler._record_stream_tick(gap_fills=1)
         else:
             frame = self._mask_fill(frame)
             self._score(index, frame)
@@ -285,8 +282,6 @@ class StreamRuntime:
             self.history.append(frame.copy())
             self.hist_avg.update(index, frame)
             self.persistence.update(frame)
-            if profiler is not None:
-                profiler._record_stream_tick()
         if self._adapt_cooldown > 0:
             self._adapt_cooldown -= 1
             if (self._adapt_cooldown == 0 and self.config.auto_adapt
@@ -319,9 +314,6 @@ class StreamRuntime:
             if len(self._probation_errors) >= self.config.probation_ticks:
                 self._finish_probation()
         if state == "drift":
-            profiler = get_active_profiler()
-            if profiler is not None:
-                profiler._record_stream_drift()
             self.drift_events.append(index)
             if self.config.auto_adapt:
                 # The EMA baseline excludes spikes, so at confirmation
@@ -413,9 +405,6 @@ class StreamRuntime:
 
     def _fallback(self, index, reason):
         """Walk the degradation ladder below the model."""
-        profiler = get_active_profiler()
-        if profiler is not None:
-            profiler._record_stream_fallback()
         if self.hist_avg.ready(index):
             source, flows = "historical_average", self.hist_avg.predict(index)
         elif self.persistence.ready:
@@ -440,7 +429,6 @@ class StreamRuntime:
         in :attr:`retrain_failures`, leaves the server degraded, and
         schedules a retry; it never propagates to the caller.
         """
-        profiler = get_active_profiler()
         started = perf_counter()
         try:
             if self.model_factory is None or self.checkpoint_dir is None:
@@ -462,8 +450,7 @@ class StreamRuntime:
             self._adapt_cooldown = self.config.adapt_retry
             return False
         finally:
-            if profiler is not None:
-                profiler._record_stream_retrain(perf_counter() - started)
+            self.retrain_s += perf_counter() - started
         self.retrains += 1
         self._adapt_rounds += 1
         self.server.clear_degraded()
@@ -494,5 +481,6 @@ class StreamRuntime:
             "masked_cells": self.masked_cells,
             "fallbacks": dict(self.fallbacks),
             "retrains": self.retrains,
+            "retrain_s": self.retrain_s,
             "retrain_failures": list(self.retrain_failures),
         }

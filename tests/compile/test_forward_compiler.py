@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.compile import ForwardCompiler
-from repro.tensor import no_grad
+from repro.tensor import AnomalyError, Tensor, detect_anomaly, no_grad
+from repro.tensor import tensor as _core
 
 from tests.compile.conftest import make_muse
 
@@ -14,6 +15,20 @@ from tests.compile.conftest import make_muse
 def eager_predict(model, batch):
     with no_grad():
         return np.asarray(model.predict(batch))
+
+
+class MisrecordedTanh:
+    """``predict`` computes tanh, but the kernel it records computes sin."""
+
+    def modules(self):
+        return []
+
+    def predict(self, batch):
+        x = Tensor(batch.closeness)
+        out = Tensor._from_op(np.tanh(x.data), (x,), None, name="tanh")
+        if _core._RECORDER is not None:
+            _core._RECORDER.ufunc(np.sin, (x.data,), out.data)
+        return out.data
 
 
 @pytest.fixture
@@ -33,9 +48,37 @@ class TestForwardCompiler:
             np.testing.assert_array_equal(got, eager_predict(muse, batch))
         report = fc.report()
         assert report["plans_built"] == 1
+        assert report["build_s"] > 0.0
         assert report["plans_validated"] == 1
         assert report["compiled_forwards"] >= 4
         assert report["fallbacks"] == {}
+
+    def test_build_gate_rejects_a_diverging_replay(self, tiny_data):
+        model = MisrecordedTanh()
+        fc = ForwardCompiler(model)
+        batch = tiny_data.test.slice(0, 4)
+        first = fc.forward(batch)
+        np.testing.assert_array_equal(first, eager_predict(model, batch))
+        report = fc.report()
+        assert report["plans_built"] == 0
+        assert report["build_s"] == 0.0
+        [reason] = report["fallbacks"].values()
+        assert reason.startswith("build validation failed")
+
+    def test_detect_anomaly_runs_eager(self, tiny_data, muse):
+        test = tiny_data.test
+        fc = ForwardCompiler(muse)
+        for start in range(3):  # build + shadow + first trusted replay
+            fc.forward(test.slice(start, start + 4))
+        assert fc.report()["plans_validated"] == 1
+        poisoned = test.take(range(3, 7))
+        poisoned.closeness[0, 0, 0, 0] = np.nan
+        with detect_anomaly():
+            with pytest.raises(AnomalyError):
+                eager_predict(muse, poisoned)
+            with pytest.raises(AnomalyError):
+                fc.forward(poisoned)
+        assert "detect_anomaly" in fc.report()["fallbacks"]
 
     def test_caller_batch_views_stay_intact(self, tiny_data, muse):
         """Replaying through zero-copy slices must not write the split.

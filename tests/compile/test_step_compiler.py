@@ -39,6 +39,7 @@ class TestBitEquivalence:
         assert_bitwise(eager, compiled)
         report = compiled[3].report()
         assert report["plans_built"] == 1
+        assert report["build_s"] > 0.0
         assert report["plans_validated"] == 1
         assert report["compiled_steps"] >= 3
         assert report["fallbacks"] == {}
@@ -235,6 +236,7 @@ class TestZeroAllocation:
         for batch in batches[:3]:  # build + shadow + first trusted replay
             compiler.step(batch)
             optimizer.step()
+        replayed = compiler.report()["compiled_steps"]
         prof = OpProfiler()
         with profile(prof):
             for batch in batches[3:]:
@@ -243,7 +245,7 @@ class TestZeroAllocation:
         assert compiler.report()["compiled_steps"] >= 4
         # Replays never touch _from_op: zero forward-arena bytes.
         assert prof.forward_alloc_bytes == 0
-        assert prof.compiled_steps == 3
+        assert compiler.report()["compiled_steps"] - replayed == 3
 
     def test_eager_steps_do_allocate(self, tiny_data):
         """Control: the same steps run eagerly allocate megabytes."""

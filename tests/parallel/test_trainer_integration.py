@@ -114,17 +114,16 @@ class TestCheckpointUnderWorkers:
 class TestProfilerUnderWorkers:
     def test_profile_ops_records_parallel_counters(self, tiny_data):
         _, history = _fit(tiny_data, workers=2, profile_ops=True)
-        profile = history.op_profile
-        assert profile["parallel_steps"] == 4
-        assert profile["parallel_reduce_s"] >= 0.0
-        assert profile["prefetch_stall_s"] >= 0.0
+        assert history.parallel["steps"] == 4
+        assert history.parallel["reduce_s"] >= 0.0
+        assert history.parallel["prefetch_stall_s"] >= 0.0
         # Worker replicas silence the parent profiler: training-loop
         # backward work happens in the children, so the parent's op
         # table must only show (forward-only) evaluation ops.
         assert all(stats["backward_calls"] == 0
-                   for stats in profile["ops"].values())
+                   for stats in history.op_profile["ops"].values())
 
     def test_serial_profile_keeps_zero_parallel_counters(self, tiny_data):
         _, history = _fit(tiny_data, workers=0, profile_ops=True)
-        assert history.op_profile["parallel_steps"] == 0
+        assert history.parallel is None
         assert history.op_profile["ops"]  # serial path records ops

@@ -30,10 +30,12 @@ def echo_forward(batch):
 class RecordingForward:
     def __init__(self, result=echo_forward, gate=None):
         self.sizes = []
+        self.entered = threading.Event()  # set once a forward has begun
         self._result = result
         self._gate = gate
 
     def __call__(self, batch):
+        self.entered.set()
         if self._gate is not None:
             self._gate.wait(timeout=10.0)
         self.sizes.append(len(batch))
@@ -182,12 +184,7 @@ class TestShutdownAudit:
         first = batcher.submit(make_request([1]))
         # Wait until the consumer owns the first window (blocked in the
         # gated forward), so nothing is draining the queue.
-        deadline = 10.0
-        while not forward.sizes and deadline > 0:
-            if gate.wait(0):  # pragma: no cover - never set yet
-                break
-            threading.Event().wait(0.005)
-            deadline -= 0.005
+        assert forward.entered.wait(timeout=10.0)
         closer = threading.Thread(target=batcher.close,
                                   name="closer", daemon=True)
         closer.start()

@@ -240,20 +240,17 @@ class TestServerResultCache:
         finally:
             server.close()
 
-    def test_profiler_cache_counters(self, tiny_data):
-        from repro.profiling import profile
-
-        with profile() as profiler:
-            server, _flows = streaming_server(TinyForecaster(tiny_data),
-                                              tiny_data)
-            try:
-                server.forecast_tick()
-                server.forecast_tick()
-            finally:
-                server.close()
-        counts = profiler.as_dict()
-        assert counts["serve_cache_misses"] == 1
-        assert counts["serve_cache_hits"] == 1
+    def test_snapshot_cache_counters(self, tiny_data):
+        server, _flows = streaming_server(TinyForecaster(tiny_data),
+                                          tiny_data)
+        try:
+            server.forecast_tick()
+            server.forecast_tick()
+            counts = server.snapshot()["result_cache"]
+        finally:
+            server.close()
+        assert counts["misses"] == 1
+        assert counts["hits"] + counts["coalesced"] == 1
 
     def test_snapshot_reports_the_result_cache(self, tiny_data):
         server, _flows = streaming_server(TinyForecaster(tiny_data),

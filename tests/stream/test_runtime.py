@@ -215,6 +215,11 @@ class TestAdaptation:
             assert runtime.server.degraded is None
             assert runtime.server.generation == 1
             assert runtime.forecast().source == "model"
+            telemetry = runtime.telemetry()
+        # Both attempts are timed, the failed one included.
+        assert (telemetry["retrains"]
+                + len(telemetry["retrain_failures"])) == 2
+        assert telemetry["retrain_s"] > 0.0
 
     def test_swap_resets_staleness_clock(self, tmp_path):
         flows = make_flows(40)
@@ -288,10 +293,31 @@ class TestLifecycle:
         json.dumps(t)
         for key in ("ingest", "drift", "drift_events", "serve", "cache",
                     "history_len", "masked_cells", "fallbacks",
-                    "retrains", "retrain_failures"):
+                    "retrains", "retrain_s", "retrain_failures"):
             assert key in t
         assert t["serve"]["staleness_ticks"] == 1
         assert t["cache"]["count"] == 21
+
+    def test_telemetry_counts_every_stream_event(self, monkeypatch):
+        flows = make_flows(32)
+        runtime = make_runtime(flows[:20], config=StreamConfig(
+            watermark=1, auto_adapt=False))
+        with runtime:
+            monkeypatch.setattr(runtime.drift, "observe",
+                                lambda error: "drift")
+            assert runtime.forecast().source == "model"  # for tick 20
+            runtime.ingest(live_tick(flows, 20))  # scored: drift
+            runtime.ingest(live_tick(flows, 22))  # declares gap 21
+            runtime.ingest(Tick(index=23, frame=np.full(SHAPE, np.inf)))
+            runtime.server.mark_degraded("operator hold")
+            runtime.forecast()
+            t = runtime.telemetry()
+        counts = t["ingest"]["counts"]
+        assert counts["emitted"] + counts["gaps"] == 3  # ticks applied
+        assert counts["gaps"] == 1
+        assert counts["quarantined"] == 1
+        assert t["drift_events"] == [20]
+        assert sum(t["fallbacks"].values()) == 1
 
     def test_history_window_is_bounded(self):
         flows = make_flows(40)

@@ -87,6 +87,14 @@ class TestCommands:
         assert "MUSE-Net" in out
         assert "GMAN" in out
 
+    def test_parallel_profiled_fit_prints_one_parallel_line(self, capsys):
+        assert main(["train", "RNN", "--workers", "2",
+                     "--profile-ops"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        parallel = [line for line in lines if line.startswith("parallel:")]
+        assert len(parallel) == 1
+        assert any(line.startswith("optimizer:") for line in lines)
+
 
 class TestOperationalErrors:
     """Operational failures exit non-zero with one-line messages."""
