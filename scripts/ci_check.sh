@@ -162,21 +162,25 @@ stage "streaming suite"
 # bit-identity (tests/stream/, docs/streaming.md).
 run python -m pytest tests/stream tests/serve/test_window_cache.py -q
 
-stage "concurrency sanitizer pass (serve + parallel + stream)"
+stage "concurrency sanitizer pass (serve + parallel + stream + compile + thread hooks)"
 # Re-run the threaded suites with runtime lock instrumentation: the
 # conftest gate fails the run on any dynamic lock-order inversion,
 # fork-while-locked, long hold, or thread leaked past shutdown.
+# tests/compile drives a compiled server from client threads, and
+# test_thread_hooks runs ops on a second thread under each hook.
 # Schedule-perturbing stress sleeps only widen races when another
 # runnable thread exists, so the stress knob self-disables on
 # single-CPU hosts (the plain sanitizer detectors still run there).
 if [ "$(nproc)" -ge 2 ]; then
     REPRO_TSAN=1 REPRO_TSAN_STRESS=1 REPRO_TSAN_SEED=0 \
-        run python -m pytest tests/serve tests/parallel tests/stream -q
+        run python -m pytest tests/serve tests/parallel tests/stream \
+            tests/compile tests/tensor/test_thread_hooks.py -q
 else
     echo "sanitizer stress mode disabled: schedule perturbation needs" \
          ">= 2 CPUs to create real interleavings ($(nproc) CPU host);" \
          "running detectors without stress sleeps"
-    REPRO_TSAN=1 run python -m pytest tests/serve tests/parallel tests/stream -q
+    REPRO_TSAN=1 run python -m pytest tests/serve tests/parallel tests/stream \
+        tests/compile tests/tensor/test_thread_hooks.py -q
 fi
 
 stage "sanitizer-overhead bench (smoke)"

@@ -6,9 +6,9 @@ executes the *same* graph thousands of times.  This package compiles
 that repetition away:
 
 * :class:`~repro.compile.recorder.Recorder` captures, from one real
-  eager step, an in-place *refresh kernel* per op (installed via the
-  tensor core's ``_RECORDER`` hook; ops without a kernel are detected
-  and force eager fallback);
+  eager step, an in-place *refresh kernel* per op (installed on the
+  recording thread only, through the tensor core's per-thread hooks;
+  ops without a kernel are detected and force eager fallback);
 * :class:`~repro.compile.plan.ExecutionPlan` linearizes the record into
   fused ``out=`` kernel chains;
 * :class:`~repro.compile.step.StepCompiler` replays full training steps

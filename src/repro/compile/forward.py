@@ -23,8 +23,9 @@ Hot-swapping is compatible by construction:
 kernels read those same arrays on every replay.
 
 Like :class:`~repro.compile.step.StepCompiler`, every call runs eager
-while ``detect_anomaly()`` is active: replay bypasses the per-op checks
-that mode installs.
+while the calling thread is inside ``detect_anomaly()``: replay
+bypasses the per-op checks that mode installs.  Recording is per
+thread too, so a second thread's ops never enter a plan.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.compile.recorder import Recorder, _Rng, _Run, _Spec, _View
 from repro.compile.step import private_batch
 from repro.inspect.liveness import compute_liveness, plan_arena
 from repro.tensor import tensor as _core
+from repro.tensor.anomaly import is_anomaly_enabled
 from repro.tensor.tensor import no_grad
 
 __all__ = ["CompiledForward", "ForwardCompiler"]
@@ -166,7 +168,7 @@ class ForwardCompiler:
         Not thread-safe by itself — the server calls it under its
         forward lock, the same discipline the eager path uses.
         """
-        if _core._ANOMALY_HOOK is not None:
+        if is_anomaly_enabled():
             # Anomaly mode checks every _from_op call; replay bypasses
             # _from_op entirely, so honor the debug request.
             self._fallbacks.setdefault("detect_anomaly",
@@ -234,12 +236,8 @@ class ForwardCompiler:
         states = self._snapshot_rngs()
         batch = private_batch(batch)  # replay pins must not alias caller data
         recorder = Recorder()
-        previous = _core._set_recorder(recorder)
-        try:
-            with no_grad():
-                prediction = np.asarray(self.model.predict(batch))
-        finally:
-            _core._set_recorder(previous)
+        with _core._installed(recorder=recorder, grad_enabled=False):
+            prediction = np.asarray(self.model.predict(batch))
         self.eager_forwards += 1
 
         failure = recorder.finalize()

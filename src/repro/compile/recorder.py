@@ -1,10 +1,12 @@
 """Kernel recording: capture one step as an in-place replay schedule.
 
-A :class:`Recorder` installs into the tensor core's ``_RECORDER`` hook
-(``repro.tensor.tensor._set_recorder``; the compilers install one
-around the step they record).  While active, every op site registers a
-*refresh record* describing how to recompute its output buffer in
-place:
+A :class:`Recorder` is installed as the ``recorder`` field of the
+recording thread's hooks (``repro.tensor.tensor._THREAD.hooks``; the
+compilers install one around the step they record).  While active,
+every op site on that thread registers a *refresh record* describing
+how to recompute its output buffer in place; ops on other threads
+never see it, so they add no record and draw nothing from its private
+scratch pool:
 
 ``_Spec``
     A single ``out=``-dispatched numpy call — ``fn(*srcs, out=out,

@@ -30,8 +30,9 @@ Correctness gates (both bitwise, ``atol=0``):
 
 Compilation is refused up front when a module would update running
 statistics outside the op layer (train-mode normalization) and per-call
-whenever ``detect_anomaly()`` is active; both are reported via
-:meth:`StepCompiler.report`.
+whenever the calling thread is inside ``detect_anomaly()``; both are
+reported via :meth:`StepCompiler.report`.  The recorder is installed on
+the recording thread only, so a second thread's ops never enter a plan.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.compile.recorder import Recorder
 from repro.data.windows import SampleBatch
 from repro.profiling import get_active_profiler
 from repro.tensor import tensor as _core
+from repro.tensor.anomaly import is_anomaly_enabled
 
 __all__ = ["CompiledStep", "StepCompiler", "private_batch"]
 
@@ -71,15 +73,11 @@ def _rng_state(rng):
     return copy.deepcopy(rng.bit_generator.state)
 
 
-def _free_graph(loss, profiler=None):
-    """Release a retained tape (mirrors ``backward``'s default free)."""
-    for node in loss._topological_order():
-        if node._backward is not None:
-            if profiler is not None:
-                profiler._record_tape_free(node.data.nbytes)
-            node._backward = None
-            node._parents = ()
-            node._freed = True
+def _mark_profiler():
+    """Restart the thread's profiler clock, if one is installed."""
+    profiler = get_active_profiler()
+    if profiler is not None:
+        profiler.mark()
 
 
 class CompiledStep:
@@ -123,9 +121,9 @@ class CompiledStep:
             node._backward(node.grad)
         return loss.item(), self.reg.item()
 
-    def free(self, profiler=None):
+    def free(self):
         """Drop the retained tape (plan invalidated)."""
-        _free_graph(self.loss, profiler)
+        _core._free_tape(self.order)
 
 
 class StepCompiler:
@@ -144,32 +142,30 @@ class StepCompiler:
         self.eager_steps = 0
 
     # ------------------------------------------------------------------
-    def step(self, batch, profiler=None):
+    def step(self, batch):
         """Run one training step; compiled replay when a plan is trusted.
 
         Always leaves the same post-state as the eager step: loss/reg
         returned, per-parameter gradients deposited, rng advanced by
-        exactly one step's draws.
+        exactly one step's draws.  The calling thread's profiler, if
+        any, sees the eager steps' ops.
         """
-        if profiler is None:
-            profiler = get_active_profiler()
-        if _core._ANOMALY_HOOK is not None:
+        if is_anomaly_enabled():
             # Anomaly mode instruments every _from_op call; replay
             # bypasses _from_op entirely, so honor the debug request.
             self._note("detect_anomaly", "detect_anomaly() is active")
-            return self._eager(batch, profiler)
+            return self._eager(batch)
         signature = batch_signature(batch)
         entry = self._plans.get(signature)
         if isinstance(entry, str):
-            return self._eager(batch, profiler)
+            return self._eager(batch)
         if entry is None:
-            return self._build(signature, batch, profiler)
+            return self._build(signature, batch)
         if not entry.trusted:
-            return self._shadow(signature, entry, batch, profiler)
+            return self._shadow(signature, entry, batch)
         result = entry.replay(batch)
         self.compiled_steps += 1
-        if profiler is not None:
-            profiler.mark()
+        _mark_profiler()
         return result
 
     def report(self):
@@ -194,11 +190,10 @@ class StepCompiler:
     def _note(self, key, reason):
         self._fallbacks.setdefault(str(key), reason)
 
-    def _eager(self, batch, profiler):
+    def _eager(self, batch):
         self.eager_steps += 1
         self.optimizer.zero_grad()
-        if profiler is not None:
-            profiler.mark()
+        _mark_profiler()
         breakdown, _outputs = self.model.training_loss(batch, rng=self.rng)
         breakdown.total.backward()
         return breakdown.total.item(), breakdown.reg.item()
@@ -230,12 +225,12 @@ class StepCompiler:
         return True
 
     # ------------------------------------------------------------------
-    def _build(self, signature, batch, profiler):
+    def _build(self, signature, batch):
         reason = self._compile_guard()
         if reason is not None:
             self._plans[signature] = reason
             self._note("guard", reason)
-            return self._eager(batch, profiler)
+            return self._eager(batch)
 
         started = perf_counter()
         state_pre = _rng_state(self.rng)
@@ -244,22 +239,18 @@ class StepCompiler:
         # so whatever happens below, a valid (loss, reg) comes out and
         # the gradients it deposited stand.
         self.optimizer.zero_grad()
-        if profiler is not None:
-            profiler.mark()
+        _mark_profiler()
         recorder = Recorder()
-        previous = _core._set_recorder(recorder)
-        try:
+        with _core._installed(recorder=recorder):
             breakdown, _outputs = self.model.training_loss(batch,
                                                            rng=self.rng)
             breakdown.total.backward(retain_graph=True)
-        finally:
-            _core._set_recorder(previous)
         loss_value = breakdown.total.item()
         reg_value = breakdown.reg.item()
 
         failure = recorder.finalize()
         if failure is not None:
-            _free_graph(breakdown.total, profiler)
+            _core._free_tape(breakdown.total._topological_order())
             reason = f"recording failed: {failure}"
             self._plans[signature] = reason
             self._note(signature, reason)
@@ -285,7 +276,7 @@ class StepCompiler:
                 param.zero_grad()
                 if grad is not None:
                     param._accumulate_grad(grad)
-            step.free(profiler)
+            step.free()
             reason = "build validation failed: replay diverged from eager"
             self._plans[signature] = reason
             self._note(signature, reason)
@@ -295,24 +286,23 @@ class StepCompiler:
         self._plans[signature] = step
         self.plans_built += 1
         self.build_s += perf_counter() - started
-        if profiler is not None:
-            profiler.mark()
+        _mark_profiler()
         self.eager_steps += 1  # the warmup itself ran eagerly
         return loss_value, reg_value
 
-    def _shadow(self, signature, step, batch, profiler):
+    def _shadow(self, signature, step, batch):
         """First replay on fresh data, shadow-checked by a full eager step."""
         state_pre = _rng_state(self.rng)
         replay_loss, replay_reg = step.replay(batch)
         saved = self._param_grads()
         self.rng.bit_generator.state = state_pre
-        eager_loss, eager_reg = self._eager(batch, profiler)
+        eager_loss, eager_reg = self._eager(batch)
         if (eager_loss == replay_loss and eager_reg == replay_reg
                 and self._grads_equal(saved, self.optimizer.parameters)):
             step.trusted = True
             self.plans_validated += 1
         else:
-            step.free(profiler)
+            step.free()
             reason = ("shadow validation failed: replay diverged from "
                       "eager on fresh inputs")
             self._plans[signature] = reason

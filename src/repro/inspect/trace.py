@@ -1,15 +1,16 @@
 """Graph tracer: records every op a model executes, with module paths.
 
-The tracer installs two observation hooks for the duration of one
-traced call:
+For the duration of one traced call the tracer sets two fields of the
+calling thread's hooks (``repro.tensor.tensor._THREAD.hooks``):
 
-* ``repro.tensor.tensor._TRACE_HOOK`` — fires once per ``_from_op``
-  result with the op name, output tensor and parent tensors;
-* ``repro.nn.module._FORWARD_HOOK`` — wraps every ``Module.__call__``
-  so each recorded op can be attributed to the dotted module path
-  (``encoder_c.net.1``) that produced it.
+* ``trace`` — fires once per ``_from_op`` result with the op name,
+  output tensor and parent tensors;
+* ``module_call`` — wraps every ``Module.__call__`` so each recorded op
+  can be attributed to the dotted module path (``encoder_c.net.1``)
+  that produced it.
 
-Both hooks are restored in a ``finally`` block, so a model that raises
+Both are per thread: ops and module calls on other threads never enter
+the trace.  Both are restored on exit, so a model that raises
 mid-trace (the exact scenario a shape checker exists for) cannot leak
 instrumentation into later code.  The raising module's path is captured
 before the stack unwinds and reported alongside the exception.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.nn.module as _module_mod
 import repro.tensor.tensor as _tensor_mod
 
 from .abstract import buffer_address
@@ -79,7 +79,7 @@ class Trace:
 
 
 class GraphTracer:
-    """Installs the trace/forward hooks around a single model call."""
+    """Installs the trace and module-call hooks around a single model call."""
 
     def __init__(self, model=None, input_arrays=()):
         self._trace = Trace()
@@ -156,16 +156,14 @@ class GraphTracer:
         it into a finding.  Hook state is always restored.
         """
         trace = self._trace
-        prev_op = _tensor_mod._set_trace_hook(self._on_op)
-        prev_fwd = _module_mod._set_forward_hook(self._on_module_call)
         try:
-            with np.errstate(all="ignore"):
+            with _tensor_mod._installed(trace=self._on_op,
+                                        module_call=self._on_module_call), \
+                    np.errstate(all="ignore"):
                 result = fn(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001 — analysed, not hidden
             trace.error = exc
         finally:
-            _tensor_mod._set_trace_hook(prev_op)
-            _module_mod._set_forward_hook(prev_fwd)
             self._stack.clear()
         if trace.error is None:
             trace.output_ids = tuple(

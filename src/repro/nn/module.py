@@ -7,27 +7,9 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.tensor import Tensor
+from repro.tensor import tensor as _tensor_core
 
 __all__ = ["Parameter", "Module"]
-
-# Active module-call observer (see repro.inspect).  A callable
-# ``(module, forward, args, kwargs) -> result`` that wraps every
-# Module.__call__, used by the static checker to attribute graph ops to
-# the dotted module path that produced them.  ``None`` when off; the
-# common path costs a single global load.
-_FORWARD_HOOK = None
-
-
-def _set_forward_hook(hook):
-    """Install ``hook`` as the module-call observer; returns the previous.
-
-    ``None`` disables observation.  Use :func:`repro.inspect.check_model`
-    rather than calling this directly.
-    """
-    global _FORWARD_HOOK
-    previous = _FORWARD_HOOK
-    _FORWARD_HOOK = hook
-    return previous
 
 
 class Parameter(Tensor):
@@ -70,8 +52,9 @@ class Module:
         raise NotImplementedError(f"{type(self).__name__} does not implement forward()")
 
     def __call__(self, *args, **kwargs):
-        if _FORWARD_HOOK is not None:
-            return _FORWARD_HOOK(self, self.forward, args, kwargs)
+        module_call = _tensor_core._THREAD.hooks.module_call
+        if module_call is not None:
+            return module_call(self, self.forward, args, kwargs)
         return self.forward(*args, **kwargs)
 
     # ------------------------------------------------------------------

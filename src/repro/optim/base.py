@@ -189,7 +189,7 @@ class Optimizer:
         self._finish_step()
 
     def _finish_step(self):
-        profiler = _tensor_core._PROFILER
+        profiler = _tensor_core._THREAD.hooks.profiler
         if profiler is not None:
             profiler._record_optimizer_step(self.last_step_alloc_bytes)
             # Keep optimizer time out of the next forward op's interval.

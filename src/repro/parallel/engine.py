@@ -247,7 +247,7 @@ class ParallelEngine:
                     param.grad = views[index] if active[index] else None
                 self.reduce_s += perf_counter() - begin
                 self.reduce_count += 1
-                profiler = _tensor_core._PROFILER
+                profiler = _tensor_core._THREAD.hooks.profiler
                 if profiler is not None:
                     profiler.mark()
                 loss = sum(r[0] * (r[2] / n) for r in replies)

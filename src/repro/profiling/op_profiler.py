@@ -3,13 +3,14 @@
 The engine funnels every recorded operation through
 :meth:`repro.tensor.Tensor._from_op` and every gradient closure through
 :meth:`repro.tensor.Tensor.backward`, so those two choke points are the
-only instrumentation hooks needed.  When no profiler is installed the
-hooks reduce to a single ``None`` check; when one is installed via
-:func:`profile`, it collects
+only instrumentation hooks needed.  A profiler is installed per thread,
+like grad mode: it sees only the ops of the thread that installed it.
+When none is installed the hooks reduce to a single ``None`` check;
+when one is installed via :func:`profile`, it collects
 
 - per-op *forward* wall time (interval attribution: the time elapsed
-  since the previous recorded op, which in this synchronous single-
-  threaded engine is dominated by the op's own numpy work),
+  since the previous recorded op on the same thread, which in this
+  synchronous engine is dominated by the op's own numpy work),
 - per-op *backward* wall time (each closure is timed directly),
 - call counts and cumulative output bytes,
 - tape accounting: bytes of op outputs currently held by the tape,
@@ -218,17 +219,18 @@ def format_op_summary(op_profile, limit=12):
 
 
 def get_active_profiler():
-    """Return the installed :class:`OpProfiler`, or ``None``."""
-    return _tensor_core._PROFILER
+    """Return the :class:`OpProfiler` installed on this thread, or ``None``."""
+    return _tensor_core._THREAD.hooks.profiler
 
 
 @contextlib.contextmanager
 def profile(profiler=None):
-    """Install an op profiler for the duration of the block.
+    """Install an op profiler on this thread for the duration of the block.
 
     Yields the active :class:`OpProfiler` (a fresh one unless
     ``profiler`` is given, which lets callers accumulate across several
-    blocks).  Nesting restores the previous profiler on exit.
+    blocks).  It records only the ops of the calling thread.  Nesting
+    restores the previous profiler on exit.
 
     >>> with profile() as prof:          # doctest: +SKIP
     ...     loss = model.training_loss(batch, rng)[0].total
@@ -236,9 +238,6 @@ def profile(profiler=None):
     >>> print(prof.summary())            # doctest: +SKIP
     """
     prof = profiler if profiler is not None else OpProfiler()
-    previous = _tensor_core._set_profiler(prof)
-    prof.mark()
-    try:
+    with _tensor_core._installed(profiler=prof):
+        prof.mark()
         yield prof
-    finally:
-        _tensor_core._set_profiler(previous)

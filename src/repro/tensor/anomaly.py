@@ -10,6 +10,10 @@ non-finite values originated at this op or were already present in an
 input — so a diverging training run points at ``log``/``div``/``exp``
 instead of surfacing as a NaN loss hundreds of ops later.
 
+Like grad mode, the check is per thread: it covers only the ops of the
+thread that entered :func:`detect_anomaly`, and only that thread's
+compiled forwards and steps fall back to eager.
+
 The checks scan every op output, so anomaly mode costs roughly one
 extra pass over each array; use it to *localise* a known divergence
 (e.g. re-running a failing batch), not as an always-on guard.  For the
@@ -18,8 +22,6 @@ cheap always-on guard see the trainer's divergence sentinel
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -107,11 +109,10 @@ def _check(phase, name, result, parents):
 
 
 def is_anomaly_enabled():
-    """Return ``True`` while inside a :func:`detect_anomaly` block."""
-    return _tensor_core._ANOMALY_HOOK is not None
+    """Return ``True`` while this thread is inside :func:`detect_anomaly`."""
+    return _tensor_core._THREAD.hooks.anomaly is not None
 
 
-@contextlib.contextmanager
 def detect_anomaly():
     """Context manager that pinpoints the op introducing a NaN/Inf.
 
@@ -120,10 +121,7 @@ def detect_anomaly():
     ...     loss.backward()
     AnomalyError: detect_anomaly: op 'log' produced a non-finite ...
 
-    Nests like :func:`no_grad`: the previous mode is restored on exit.
+    Per thread and nesting like :func:`no_grad`: ops on other threads
+    are not checked, and the previous mode is restored on exit.
     """
-    previous = _tensor_core._set_anomaly_hook(_check)
-    try:
-        yield
-    finally:
-        _tensor_core._set_anomaly_hook(previous)
+    return _tensor_core._installed(anomaly=_check)

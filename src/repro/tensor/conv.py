@@ -75,8 +75,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
     scratch:
         Optional :class:`~repro.tensor.scratch.ScratchPool` providing
         the im2col and GEMM workspaces.  Defaults to the thread's
-        shared pool (or the active compile recorder's private pool), so
-        repeated same-shape calls allocate no new scratch.
+        shared pool (or the private pool of a compile recorder active
+        on this thread), so repeated same-shape calls allocate no new
+        scratch.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
@@ -87,7 +88,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
     if c_in != c_in_w:
         raise ValueError(f"input has {c_in} channels but kernel expects {c_in_w}")
 
-    recorder = _core._RECORDER
+    recorder = _core._THREAD.hooks.recorder
     pool = scratch
     if pool is None:
         # A compiled plan's kernels capture scratch buffers by
@@ -228,7 +229,7 @@ def avg_pool2d(x, kernel_size, stride=None):
 
     result = Tensor._from_op(out, (x,), backward, name="avg_pool2d")
 
-    recorder = _core._RECORDER
+    recorder = _core._THREAD.hooks.recorder
     if recorder is not None:
         x_d, out_d = x.data, result.data
 
@@ -274,7 +275,7 @@ def max_pool2d(x, kernel_size, stride=None):
 
     result = Tensor._from_op(out, (x,), backward, name="max_pool2d")
 
-    recorder = _core._RECORDER
+    recorder = _core._THREAD.hooks.recorder
     if recorder is not None:
         x_d, out_d = x.data, result.data
 

@@ -58,7 +58,7 @@ def matmul(a, b):
             b._accumulate_grad(grad_b)
 
     result = Tensor._from_op(data, (a, b), backward, name="matmul")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, bd, od = a.data, b.data, result.data
         if a.ndim >= 2 and b.ndim >= 2:

@@ -6,14 +6,15 @@ deposits gradients into the inputs.  Broadcasting is handled by
 :func:`unbroadcast`, which sums gradients over the broadcast axes so
 each input receives a gradient of its own shape.
 
-When a :mod:`repro.compile` recorder is installed (see
-``tensor._RECORDER``) each op additionally registers a *refresh kernel*
-describing how to recompute its output buffer in place: either a
-``ufunc`` spec (fusable into an ``out=``-dispatched chain) or a small
-closure for ops with auxiliary state (masks, scales).  Backward
-closures read their captured arrays — which the refresh kernels update
-in place — so one recorded step can be replayed against new inputs
-without rebuilding the graph.
+When a :mod:`repro.compile` recorder is installed on the calling
+thread (the ``recorder`` field of ``tensor._THREAD.hooks``) each op
+additionally registers a *refresh kernel* describing how to recompute
+its output buffer in place: either a ``ufunc`` spec (fusable into an
+``out=``-dispatched chain) or a small closure for ops with auxiliary
+state (masks, scales).  Ops on other threads register nothing.
+Backward closures read their captured arrays — which the refresh
+kernels update in place — so one recorded step can be replayed against
+new inputs without rebuilding the graph.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _binary_ufunc(a, b, fn, grad_a, grad_b, name):
     """A :func:`_binary` whose forward is a plain ufunc: fusable refresh."""
     a, b = _coerce_operands(a, b)
     result = _binary(a, b, fn, grad_a, grad_b, name)
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         rec.ufunc(fn, (a.data, b.data), result.data)
     return result
@@ -152,7 +153,7 @@ def maximum(a, b):
     result = _binary(
         a, b, np.maximum, lambda g: g * mask, lambda g: g * (~mask), "maximum"
     )
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, bd, od = a.data, b.data, result.data
 
@@ -171,7 +172,7 @@ def minimum(a, b):
     result = _binary(
         a, b, np.minimum, lambda g: g * mask, lambda g: g * (~mask), "minimum"
     )
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, bd, od = a.data, b.data, result.data
 
@@ -196,7 +197,7 @@ def _unary_ufunc(a, fn, grad_fn, name):
     """A :func:`_unary` whose forward is a plain ufunc: fusable refresh."""
     a = as_tensor(a)
     result = _unary(a, fn(a.data), grad_fn, name)
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         rec.ufunc(fn, (a.data,), result.data)
     return result
@@ -214,7 +215,7 @@ def pow_(a, exponent):
         raise TypeError("pow_ supports constant exponents only; use exp/log for tensor exponents")
     result = _unary(a, a.data ** exponent,
                     lambda g: g * exponent * a.data ** (exponent - 1), "pow")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         rec.ufunc(np.power, (a.data, exponent), result.data)
     return result
@@ -230,7 +231,7 @@ def exp(a):
 def _unary_graph_output(a, fn, data, make_grad, name):
     """Unary ufunc op whose gradient reads its own (refreshed) output."""
     result = _unary(a, data, make_grad(data), name)
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         rec.ufunc(fn, (a.data,), result.data)
     return result
@@ -269,7 +270,7 @@ def sigmoid(a):
     x = a.data
     data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
     result = _unary(a, data, lambda g: g * data * (1.0 - data), "sigmoid")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         od = result.data
 
@@ -286,7 +287,7 @@ def relu(a):
     a = as_tensor(a)
     mask = a.data > 0
     result = _unary(a, a.data * mask, lambda g: g * mask, "relu")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         # Two fusable specs: refresh the mask, then the masked product.
         rec.ufunc(np.greater, (a.data, 0), mask)
@@ -300,7 +301,7 @@ def leaky_relu(a, negative_slope=0.01):
     mask = a.data > 0
     scale = np.where(mask, 1.0, negative_slope)
     result = _unary(a, a.data * scale, lambda g: g * scale, "leaky_relu")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, od = a.data, result.data
 
@@ -320,7 +321,7 @@ def softplus(a):
     data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
     result = _unary(a, data, lambda g: g * sig, "softplus")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         od = result.data
 
@@ -338,7 +339,7 @@ def clip(a, low, high):
     a = as_tensor(a)
     mask = (a.data >= low) & (a.data <= high)
     result = _unary(a, np.clip(a.data, low, high), lambda g: g * mask, "clip")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, od = a.data, result.data
 
@@ -368,7 +369,7 @@ def where(condition, a, b):
             b._accumulate_grad(unbroadcast(grad * (~cond), b.shape))
 
     result = Tensor._from_op(data, (a, b), backward, name="where")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, bd, od = a.data, b.data, result.data
         # A tensor-valued condition may itself be refreshed by the plan;

@@ -39,7 +39,7 @@ def _record_draw(buf, rng, shape, scale):
     eager step would have (in-place assignment applies the same
     round-to-nearest cast as ``astype``, keeping results bitwise equal).
     """
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is None:
         return
 

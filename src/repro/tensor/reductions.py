@@ -41,7 +41,7 @@ def sum_(a, axis=None, keepdims=False):
         a._accumulate_grad(_expand_to_input(grad, a.shape, axis, keepdims))
 
     result = Tensor._from_op(data, (a,), backward, name="sum")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         rec.ufunc(np.sum, (a.data,), result.data, axis=axis, keepdims=keepdims)
     return result
@@ -61,7 +61,7 @@ def mean(a, axis=None, keepdims=False):
         a._accumulate_grad(_expand_to_input(grad, a.shape, axis, keepdims) / count)
 
     result = Tensor._from_op(data, (a,), backward, name="mean")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         rec.ufunc(np.mean, (a.data,), result.data, axis=axis, keepdims=keepdims)
     return result
@@ -91,7 +91,7 @@ def _extreme(a, axis, keepdims, np_fn, name):
         a._accumulate_grad(g * mask / c)
 
     result = Tensor._from_op(data, (a,), backward, name=name)
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, od = a.data, result.data
 
@@ -148,7 +148,7 @@ def logsumexp(a, axis=None, keepdims=False):
     a = as_tensor(a)
     axnorm = _normalize_axis(axis, a.ndim)
     shift = Tensor(a.data.max(axis=axnorm, keepdims=True))
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         # ``shift`` is a data-dependent *leaf* (no _from_op call), so a
         # compiled plan must refresh it explicitly before the ops below.

@@ -16,7 +16,7 @@ def _record_view_or_copy(result, a, remake):
     fresh array, which replay refreshes by re-running ``remake`` into
     the output buffer.
     """
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is None:
         return
     od, ad = result.data, a.data
@@ -107,7 +107,7 @@ def concat(tensors, axis=0):
                 tensor._accumulate_grad(piece)
 
     result = Tensor._from_op(data, tuple(tensors), backward, name="concat")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         srcs = [t.data for t in tensors]
         od = result.data
@@ -131,7 +131,7 @@ def stack(tensors, axis=0):
                 tensor._accumulate_grad(np.squeeze(piece, axis=axis))
 
     result = Tensor._from_op(data, tuple(tensors), backward, name="stack")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         srcs = [t.data for t in tensors]
         od = result.data
@@ -191,7 +191,7 @@ def pad(a, pad_width, value=0.0):
         a._accumulate_grad(grad[slices])
 
     result = Tensor._from_op(data, (a,), backward, name="pad")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, od = a.data, result.data
         inner = od[slices]
@@ -216,7 +216,7 @@ def broadcast_to(a, shape):
         a._accumulate_grad(unbroadcast(grad, a.shape))
 
     result = Tensor._from_op(data, (a,), backward, name="broadcast_to")
-    rec = _core._RECORDER
+    rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, od = a.data, result.data
 

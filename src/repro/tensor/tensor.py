@@ -35,108 +35,102 @@ __all__ = [
     "as_tensor",
 ]
 
-# Grad mode is *per thread* (torch semantics): a serving thread inside
-# ``no_grad()`` must not switch off tape recording for a concurrent
-# training step — with a process-global flag, the stream runtime's warm
-# retrain raced live eval-mode forecasts and crashed in backward().
-# Threads start in the default (enabled) state.
-_GRAD_MODE = threading.local()
 _DEFAULT_DTYPE = np.float64
 
-# Active op profiler (see repro.profiling).  Kept here, not in the
-# profiling package, so the hot-path hooks below stay a single global
-# load + ``None`` check and tensor.py gains no new imports.
-_PROFILER = None
 
-# Active anomaly checker (see repro.tensor.anomaly).  Same pattern as
-# the profiler: a callable ``(phase, name, array, parents)`` installed
-# by ``detect_anomaly()``, or ``None`` when anomaly mode is off.
-_ANOMALY_HOOK = None
+class _Hooks:
+    """One thread's grad mode and instrumentation hooks.
 
-# Active graph tracer (see repro.inspect).  A callable
-# ``(name, out, parents)`` invoked for every op result, used by the
-# static model checker to record the abstract graph without touching
-# the op implementations.  ``None`` when tracing is off.
-_TRACE_HOOK = None
-
-# Active kernel recorder (see repro.compile).  While installed, every
-# op site registers an in-place "refresh kernel" able to recompute its
-# output buffer with ``out=`` numpy calls; the recorder also gets an
-# ``_on_op`` ping from ``_from_op`` so ops *without* a registered
-# kernel are detected (they force the compiler back to eager rather
-# than silently replaying stale buffers).  ``None`` when recording is
-# off — the hot path pays a single global load + ``None`` check, the
-# same contract as the profiler/anomaly/trace hooks above.
-_RECORDER = None
-
-
-def _set_profiler(profiler):
-    """Install ``profiler`` as the active op profiler; returns the previous.
-
-    ``None`` disables profiling.  Use :func:`repro.profiling.profile`
-    rather than calling this directly.
+    ``grad_enabled``
+        Whether ops record the autodiff tape (:func:`no_grad`).
+    ``profiler``
+        The active op profiler (:func:`repro.profiling.profile`).
+    ``anomaly``
+        A callable ``(phase, name, array, parents)`` that raises on a
+        non-finite value (:func:`repro.tensor.detect_anomaly`).
+    ``trace``
+        A callable ``(name, out, parents)`` fired for every op result
+        (:class:`repro.inspect.trace.GraphTracer`).
+    ``module_call``
+        A callable ``(module, forward, args, kwargs) -> result`` that
+        wraps every ``Module.__call__`` (the same tracer).
+    ``recorder``
+        The active kernel recorder (:class:`repro.compile.Recorder`):
+        every op site registers its refresh kernel with it.
     """
-    global _PROFILER
-    previous = _PROFILER
-    _PROFILER = profiler
-    return previous
+
+    __slots__ = ("grad_enabled", "profiler", "anomaly", "trace",
+                 "module_call", "recorder")
+
+    def __init__(self):
+        self.grad_enabled = True
+        self.profiler = None
+        self.anomaly = None
+        self.trace = None
+        self.module_call = None
+        self.recorder = None
 
 
-def _set_anomaly_hook(hook):
-    """Install ``hook`` as the anomaly checker; returns the previous.
+class _PerThread(threading.local):
+    def __init__(self):
+        self.hooks = _Hooks()
 
-    ``None`` disables anomaly mode.  Use
-    :func:`repro.tensor.detect_anomaly` rather than calling this
-    directly.
+
+# Every field is *per thread*, like torch's grad mode: a hook sees only
+# the ops of the thread that installed it, so the stream runtime's
+# forecast threads and its retrain thread never switch off, profile,
+# check, trace or record each other's ops.  Threads start with the
+# defaults.  A hot path reads ``_THREAD.hooks`` once, then plain slot
+# attributes: a thread-local lookup costs several slot loads.
+_THREAD = _PerThread()
+
+
+@contextlib.contextmanager
+def _installed(**fields):
+    """Set ``fields`` of this thread's hooks for a block, then restore them.
+
+    ``no_grad``, ``profile``, ``detect_anomaly``, the graph tracer and
+    the compilers install through this; nesting restores each field's
+    previous value on exit, raise or not.
     """
-    global _ANOMALY_HOOK
-    previous = _ANOMALY_HOOK
-    _ANOMALY_HOOK = hook
-    return previous
-
-
-def _set_trace_hook(hook):
-    """Install ``hook`` as the graph tracer; returns the previous.
-
-    ``None`` disables tracing.  Use :func:`repro.inspect.check_model`
-    rather than calling this directly.
-    """
-    global _TRACE_HOOK
-    previous = _TRACE_HOOK
-    _TRACE_HOOK = hook
-    return previous
-
-
-def _set_recorder(recorder):
-    """Install ``recorder`` as the active kernel recorder; returns the previous.
-
-    ``None`` disables recording.  Use :mod:`repro.compile` rather than
-    calling this directly.
-    """
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = recorder
-    return previous
+    hooks = _THREAD.hooks
+    previous = {name: getattr(hooks, name) for name in fields}
+    for name, value in fields.items():
+        setattr(hooks, name, value)
+    try:
+        yield
+    finally:
+        for name, value in previous.items():
+            setattr(hooks, name, value)
 
 
 def _clear_hooks_in_child():
-    """Uninstall every instrumentation hook in a freshly forked child.
+    """Reset this thread's hooks, grad mode included, in a forked child.
 
-    A forked worker or replica inherits the parent's profiler, anomaly
-    checker, graph tracer, kernel recorder and module-call observer;
+    A forked worker or replica inherits the forking thread's hooks;
     none has a meaning there (a parent-side profiler would count child
     ops into a copy nobody reads, a recorder would capture kernels into
     a plan that is never replayed).  The child re-enables what it needs
     itself, e.g. anomaly mode when its engine was configured with it.
     """
-    _set_profiler(None)
-    _set_anomaly_hook(None)
-    _set_trace_hook(None)
-    _set_recorder(None)
-    # Deferred import: repro.nn sits above the tensor core.
-    from repro.nn.module import _set_forward_hook
+    _THREAD.hooks = _Hooks()
 
-    _set_forward_hook(None)
+
+def _free_tape(order):
+    """Drop the backward closure and parent links of every node in ``order``.
+
+    Releases the buffers the closures capture; a later ``backward()``
+    through a freed node raises.  The thread's profiler, if any, takes
+    the freed bytes off its tape count.
+    """
+    profiler = _THREAD.hooks.profiler
+    for node in order:
+        if node._backward is not None:
+            if profiler is not None:
+                profiler._record_tape_free(node.data.nbytes)
+            node._backward = None
+            node._parents = ()
+            node._freed = True
 
 
 def set_default_dtype(dtype):
@@ -182,10 +176,9 @@ def is_grad_enabled():
     The flag is thread-local: disabling gradients on one thread never
     affects tape recording on any other.
     """
-    return getattr(_GRAD_MODE, "enabled", True)
+    return _THREAD.hooks.grad_enabled
 
 
-@contextlib.contextmanager
 def no_grad():
     """Context manager that disables gradient recording on this thread.
 
@@ -195,12 +188,7 @@ def no_grad():
     per-thread, so an eval loop cannot disable the tape under a
     concurrently-running training step.
     """
-    previous = is_grad_enabled()
-    _GRAD_MODE.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD_MODE.enabled = previous
+    return _installed(grad_enabled=False)
 
 
 class Tensor:
@@ -293,29 +281,30 @@ class Tensor:
         requires them, the result is a detached leaf.
         """
         out = cls(data, name=name)
-        if _ANOMALY_HOOK is not None:
+        hooks = _THREAD.hooks
+        if hooks.anomaly is not None:
             # Check *before* the result joins the tape or the profiler's
             # accounting: when the hook raises, the failed op must leave
             # no state behind — tape bytes recorded here would never be
             # freed and would poison later clean runs.
-            _ANOMALY_HOOK("forward", name or "op", out.data, parents)
+            hooks.anomaly("forward", name or "op", out.data, parents)
         on_tape = False
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
+        if hooks.grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
             on_tape = True
-        if _PROFILER is not None:
+        if hooks.profiler is not None:
             # A view result (reshape/transpose/basic getitem) shares its
             # parent's buffer; only owned buffers count as forward
             # allocations.
-            _PROFILER._record_forward(
+            hooks.profiler._record_forward(
                 name or "op", out.data.nbytes, on_tape,
                 alloc_bytes=out.data.nbytes if out.data.base is None else 0)
-        if _TRACE_HOOK is not None:
-            _TRACE_HOOK(name or "op", out, parents)
-        if _RECORDER is not None:
-            _RECORDER._on_op(name or "op", out, parents)
+        if hooks.trace is not None:
+            hooks.trace(name or "op", out, parents)
+        if hooks.recorder is not None:
+            hooks.recorder._on_op(name or "op", out, parents)
         return out
 
     def _accumulate_grad(self, grad):
@@ -353,9 +342,9 @@ class Tensor:
         buf = self._grad_buf
         if buf is None or buf.shape != data.shape or buf.dtype != data.dtype:
             buf = self._grad_buf = grad.astype(data.dtype, copy=True)
-            if _PROFILER is not None:
-                _PROFILER._record_grad_alloc(self.name or "tensor",
-                                             buf.nbytes)
+            profiler = _THREAD.hooks.profiler
+            if profiler is not None:
+                profiler._record_grad_alloc(self.name or "tensor", buf.nbytes)
         else:
             # Bitwise the allocating branch's astype(dtype, copy=True).
             np.copyto(buf, grad, casting="unsafe")
@@ -398,8 +387,9 @@ class Tensor:
             grad = np.ones_like(self.data)
         self._accumulate_grad(np.broadcast_to(np.asarray(grad), self.data.shape))
 
-        profiler = _PROFILER
-        anomaly_hook = _ANOMALY_HOOK
+        hooks = _THREAD.hooks
+        profiler = hooks.profiler
+        anomaly_hook = hooks.anomaly
         order = self._topological_order()
         try:
             for node in reversed(order):
@@ -422,13 +412,7 @@ class Tensor:
             # retry into an explicit freed-graph error and keeps the
             # profiler's tape-byte accounting balanced.
             if not retain_graph:
-                for node in order:
-                    if node._backward is not None:
-                        if profiler is not None:
-                            profiler._record_tape_free(node.data.nbytes)
-                        node._backward = None
-                        node._parents = ()
-                        node._freed = True
+                _free_tape(order)
             if profiler is not None:
                 # Don't let backward time leak into the next forward
                 # op's interval attribution.

@@ -454,7 +454,7 @@ class Trainer:
         for batch in iterate_batches(data.train, config.batch_size,
                                      rng=self._rng):
             if compiler is not None:
-                yield compiler.step(batch, profiler)
+                yield compiler.step(batch)
                 continue
             self.optimizer.zero_grad()
             if profiler is not None:

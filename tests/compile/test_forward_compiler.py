@@ -26,8 +26,9 @@ class MisrecordedTanh:
     def predict(self, batch):
         x = Tensor(batch.closeness)
         out = Tensor._from_op(np.tanh(x.data), (x,), None, name="tanh")
-        if _core._RECORDER is not None:
-            _core._RECORDER.ufunc(np.sin, (x.data,), out.data)
+        recorder = _core._THREAD.hooks.recorder
+        if recorder is not None:
+            recorder.ufunc(np.sin, (x.data,), out.data)
         return out.data
 
 

@@ -240,7 +240,7 @@ class TestZeroAllocation:
         prof = OpProfiler()
         with profile(prof):
             for batch in batches[3:]:
-                compiler.step(batch, profiler=prof)
+                compiler.step(batch)
                 optimizer.step()
         assert compiler.report()["compiled_steps"] >= 4
         # Replays never touch _from_op: zero forward-arena bytes.

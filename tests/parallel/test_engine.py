@@ -17,9 +17,9 @@ import pytest
 
 from repro.data.windows import SampleBatch
 from repro.nn import Parameter
-from repro.nn.module import _set_forward_hook
 from repro.optim import Adam
 from repro.parallel import ParallelEngine, ParallelWorkerError, worker_rank
+from repro.tensor.tensor import _installed
 from tests.robustness.injectors import ToyForecaster
 
 
@@ -157,12 +157,9 @@ class TestLifecycle:
 
         model, optimizer, train, batch = _toy_setup(tiny_data, n=8)
         serial_grads, serial_loss = _serial_gradient(model, batch)
-        previous = _set_forward_hook(parent_only)
-        try:
+        with _installed(module_call=parent_only):
             grads, loss = _engine_gradient(model, optimizer, train,
                                            batch_size=8, workers=1, n=8)
-        finally:
-            _set_forward_hook(previous)
         assert loss == pytest.approx(serial_loss, abs=1e-11)
         for serial, reduced in zip(serial_grads, grads):
             np.testing.assert_allclose(reduced, serial, atol=1e-12, rtol=0)

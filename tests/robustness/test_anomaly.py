@@ -122,6 +122,14 @@ class TestNoStateLeakageOnRaise:
             # The failed log's 16 float64 outputs (128 bytes) must not
             # stay on the books: nothing can ever free them.
             assert prof.tape_bytes == 0
+        # Reversed nesting: the check still runs before the profiler
+        # records, whichever of the two was installed first.
+        with detect_anomaly():
+            with profile() as prof, pytest.raises(AnomalyError), \
+                    np.errstate(invalid="ignore"):
+                x.log()
+            assert prof.tape_bytes == 0
+            assert prof.stats == {}
 
     def test_backward_raise_frees_the_tape(self):
         from repro.profiling import profile

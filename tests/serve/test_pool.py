@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.nn.module import _set_forward_hook
 from repro.parallel import ParallelWorkerError, worker_rank
 from repro.serve import ForecastServer, ReplicaPool, ServeConfig
 from repro.tensor import no_grad
+from repro.tensor.tensor import _installed
 
 from tests.serve.conftest import TinyForecaster
 
@@ -116,12 +116,9 @@ class TestReplicaPool:
         test = tiny_data.test
         model = TinyForecaster(tiny_data, seed=0)
         expected = offline(TinyForecaster(tiny_data, seed=0), test)
-        previous = _set_forward_hook(parent_only)
-        try:
-            with ReplicaPool(model, test, replicas=1, max_batch=8) as pool:
-                rows, _ = pool.predict(test.slice(0, 4))
-        finally:
-            _set_forward_hook(previous)
+        with _installed(module_call=parent_only), \
+                ReplicaPool(model, test, replicas=1, max_batch=8) as pool:
+            rows, _ = pool.predict(test.slice(0, 4))
         np.testing.assert_allclose(rows, expected[:4], atol=1e-12, rtol=0)
 
     def test_invalid_construction(self, tiny_data):

@@ -180,18 +180,16 @@ class TestDetachCopy:
 
 class TestForkedChildHooks:
     def test_clear_hooks_in_child_uninstalls_every_hook(self):
-        from repro.nn import module
         from repro.tensor import tensor as core
 
-        setters = (core._set_profiler, core._set_anomaly_hook,
-                   core._set_trace_hook, core._set_recorder,
-                   module._set_forward_hook)
-        sentinel = object()
-        previous = [setter(sentinel) for setter in setters]
+        fields = core._Hooks.__slots__
+        original = core._THREAD.hooks
         try:
-            core._clear_hooks_in_child()
-            assert (core._PROFILER, core._ANOMALY_HOOK, core._TRACE_HOOK,
-                    core._RECORDER, module._FORWARD_HOOK) == (None,) * 5
+            with core._installed(**dict.fromkeys(fields, object())):
+                core._clear_hooks_in_child()
+                cleared = core._THREAD.hooks
         finally:
-            for setter, hook in zip(setters, previous):
-                setter(hook)
+            core._THREAD.hooks = original
+        assert {name: getattr(cleared, name) for name in fields} == {
+            "grad_enabled": True, "profiler": None, "anomaly": None,
+            "trace": None, "module_call": None, "recorder": None}
