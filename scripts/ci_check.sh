@@ -88,6 +88,14 @@ stage "replica-pool smoke (2 replicas)"
 run python -m repro serve MUSE-Net --profile ci --replicas 2 \
     --requests 64 --concurrency 8
 
+stage "compiled paths smoke"
+# Both graph compilers through the real CLI: compiled serving forwards
+# (exits 1 if served rows differ from the offline forward by more than
+# 1e-12) and a compiled float32 fit, which prints its compile report.
+run python -m repro serve MUSE-Net --profile ci --compile --requests 64 \
+    --concurrency 8
+run python -m repro train MUSE-Net --profile ci --dtype float32 --compile
+
 stage "parallel-scaling bench (smoke)"
 # Always gates gradient equivalence (reduced == single-process batch
 # gradient at 4 workers); the 2.5x speedup gate self-disables on hosts

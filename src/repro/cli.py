@@ -145,18 +145,15 @@ def _cmd_train(args):
                   f"prefetch stall {par['prefetch_stall_s']:.2f}s")
         if history.compiled:
             comp = history.compiled
-            if comp.get("enabled") is False:
-                print(f"compile: disabled — {comp['reason']}")
-            else:
-                print(f"compile: {comp['plans_built']} plan(s), "
-                      f"{comp['compiled_steps']} compiled / "
-                      f"{comp['eager_steps']} eager step(s), "
-                      f"arena {comp['arena_bytes'] / 2**20:.2f} MiB "
-                      f"({comp['arena_reuse_pct']:.0f}% scratch reuse), "
-                      f"{comp['fused_chains']} fused chain(s) over "
-                      f"{comp['kernels']} kernel(s)")
-                for key, reason in sorted(comp["fallbacks"].items()):
-                    print(f"compile fallback [{key}]: {reason}")
+            print(f"compile: {comp['plans_built']} plan(s), "
+                  f"{comp['compiled_steps']} compiled / "
+                  f"{comp['eager_steps']} eager step(s), "
+                  f"arena {comp['arena_bytes'] / 2**20:.2f} MiB "
+                  f"({comp['arena_reuse_pct']:.0f}% scratch reuse), "
+                  f"{comp['fused_chains']} fused chain(s) over "
+                  f"{comp['kernels']} kernel(s)")
+            for key, reason in sorted(comp["fallbacks"].items()):
+                print(f"compile fallback [{key}]: {reason}")
         if history.interrupted:
             print("run interrupted; resume with --resume and the same "
                   "--checkpoint-dir")

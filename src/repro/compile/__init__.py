@@ -10,20 +10,18 @@ that repetition away:
   recording thread only, through the tensor core's per-thread hooks;
   ops without a kernel are detected and force eager fallback);
 * :class:`~repro.compile.plan.ExecutionPlan` linearizes the record into
-  fused ``out=`` kernel chains;
+  fused ``out=`` kernel chains, and :class:`~repro.compile.plan.PlanCache`
+  keeps one per batch signature, gated bitwise against eager and pinned
+  to eager (reason in ``report()``) when it cannot prove equivalence;
 * :class:`~repro.compile.step.StepCompiler` replays full training steps
   (forward + retained backward closures + the gradient buffers every
-  tensor keeps across ``zero_grad``) — used by ``Trainer(compile=True)`` / ``repro train
-  --compile``;
+  tensor keeps across ``zero_grad``) — used by
+  ``TrainConfig(compile=True)`` / ``repro train --compile``;
 * :class:`~repro.compile.forward.ForwardCompiler` replays tape-free
   ``predict`` calls against a liveness-packed buffer arena — used by
   ``repro.serve``'s micro-batch hot path.
 
-Every plan is gated twice, bitwise (``atol=0``): a build-time replay of
-the recorded batch, and a shadow eager step on the first *fresh* batch.
-A plan that cannot prove equivalence is discarded and its signature
-pinned to eager, with the reason surfaced in ``report()`` /
-``History.compiled``.  See ``docs/performance.md``.
+See ``docs/performance.md``.
 """
 
 from repro.compile.forward import CompiledForward, ForwardCompiler

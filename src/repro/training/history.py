@@ -45,10 +45,9 @@ class History:
     # count, allreduce time, prefetch stalls, per-worker BLAS pinning.
     parallel: dict = None
     # Graph-compiled stepping report (StepCompiler.report()): plans
-    # built/validated, compiled vs eager step counts, arena bytes and
-    # scratch reuse, and any per-signature fallback reasons.  When
-    # TrainConfig.compile was requested but unavailable, holds
-    # {"enabled": False, "reason": ...} instead.
+    # built/validated, compiled vs eager step counts, the bytes a plan
+    # keeps and their reuse, kernels and fused chains, and any
+    # fallback reasons.  None unless TrainConfig.compile is set.
     compiled: dict = None
 
     @property

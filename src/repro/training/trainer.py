@@ -126,13 +126,17 @@ class TrainConfig:
     # schedule over the retained graph.  Bit-identical to eager by
     # construction (build + shadow validation gates, atol 0); falls
     # back to eager per signature whenever equivalence can't be proven.
-    # Incompatible with workers > 0 and ignored (eager per step) while
+    # Requires workers = 0; ignored (eager per step) while
     # detect_anomaly is active.  See docs/performance.md.
     compile: bool = False
 
     def __post_init__(self):
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0; got {self.workers}")
+        if self.compile and self.workers >= 1:
+            raise ValueError(
+                "compile=True requires workers=0: the compiled step "
+                "replays in-process, not in forked workers")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1; got {self.batch_size}")
         if self.eval_batch_size < 1:
@@ -162,12 +166,9 @@ class TrainConfig:
 class Trainer:
     """Fit a forecasting model on prepared :class:`ForecastData`."""
 
-    def __init__(self, model, config: TrainConfig = None, dtype=None,
-                 compile=None):
+    def __init__(self, model, config: TrainConfig = None, dtype=None):
         self.model = model
         self.config = config if config is not None else TrainConfig()
-        if compile is not None:
-            self.config.compile = bool(compile)
         if dtype is None:
             dtype = self.config.dtype
         self.dtype = None if dtype is None else np.dtype(dtype)
@@ -291,18 +292,9 @@ class Trainer:
         engine = None
         compiler = None
         if config.compile:
-            if config.workers:
-                # Worker processes run their own step loops; the
-                # retained-graph replay is a single-process construct.
-                history.compiled = {
-                    "enabled": False,
-                    "reason": "workers > 0: steps execute in forked "
-                              "worker processes"}
-            else:
-                from repro.compile import StepCompiler
+            from repro.compile import StepCompiler
 
-                compiler = StepCompiler(self.model, self.optimizer,
-                                        self._rng)
+            compiler = StepCompiler(self.model, self.optimizer, self._rng)
         self._interrupt_requested = False
         old_handlers = self._install_signal_handlers()
 

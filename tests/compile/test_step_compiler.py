@@ -216,15 +216,17 @@ class TestPlanCache:
         for a, b in zip(reference.parameters(), model.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
-    def test_workers_disables_compile(self, tiny_data, muse_config):
-        from repro.training import Trainer, TrainConfig
+    def test_train_config_rejects_compile_with_workers(self, capsys):
+        from repro.cli import main
+        from repro.training import TrainConfig
 
-        model = make_muse(muse_config)
-        trainer = Trainer(model, TrainConfig(
-            epochs=1, batch_size=8, seed=0, workers=1, compile=True))
-        history = trainer.fit(tiny_data)
-        assert history.compiled["enabled"] is False
-        assert "worker" in history.compiled["reason"]
+        with pytest.raises(ValueError, match="workers"):
+            TrainConfig(workers=1, compile=True)
+        assert main(["train", "MUSE-Net", "--workers", "2",
+                     "--compile"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workers" in err
+        assert "Traceback" not in err
 
 
 class TestZeroAllocation:
