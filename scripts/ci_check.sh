@@ -96,6 +96,12 @@ run python -m repro serve MUSE-Net --profile ci --compile --requests 64 \
     --concurrency 8
 run python -m repro train MUSE-Net --profile ci --dtype float32 --compile
 
+stage "examples smoke"
+# The one example that drives profile(), Adam and clip_grad_norm by
+# hand rather than through the Trainer (seconds); tests/test_examples.py
+# checks that every example imports and runs only the simulation one.
+run python examples/profile_training_step.py
+
 stage "parallel-scaling bench (smoke)"
 # Always gates gradient equivalence (reduced == single-process batch
 # gradient at 4 workers); the 2.5x speedup gate self-disables on hosts

@@ -14,8 +14,8 @@ scratch pool:
     matmul, plain reductions); consecutive specs compile into one fused
     chain with no per-op bookkeeping at replay time.
 ``_Run``
-    An opaque closure for ops with auxiliary state (tie masks, scales,
-    conv scratch packing).  ``reads``/``writes`` list the arrays the
+    An opaque closure for ops with auxiliary state (tie masks and
+    counts, conv scratch packing).  ``reads``/``writes`` list the arrays the
     closure touches, for liveness analysis.
 ``_View``
     A no-op marker: the op's output aliases its input's memory, so

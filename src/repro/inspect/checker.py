@@ -237,8 +237,8 @@ def _has_max_subtraction(trace, tensor_id, depth=8):
             if guard_leaf is not None and guard_leaf["name"] == "max":
                 return True
             return False
-        if event.op in ("reshape", "broadcast_to", "expand_dims", "squeeze",
-                        "getitem", "transpose", "mul", "div", "add"):
+        if event.op in ("reshape", "broadcast_to", "getitem", "transpose",
+                        "mul", "div", "add"):
             tensor_id = event.parent_ids[0]
             continue
         return False

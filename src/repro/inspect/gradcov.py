@@ -12,7 +12,7 @@ finite-difference check case.  Two consumers:
 * the ``gradcheck-coverage`` lint rule (``repro lint``) reports
   registered ops missing from this registry without running anything.
 
-Inputs are chosen away from non-differentiable points (``abs`` at 0,
+Inputs are chosen away from non-differentiable points (``relu`` at 0,
 ``max`` ties, ``sqrt`` near 0) so the finite-difference probe stays
 well-conditioned.
 """
@@ -59,7 +59,7 @@ def _pos(*shape, seed=0):
 
 
 def _spread(*shape, seed=0):
-    """Values with pairwise gaps: safe for max/min/ties."""
+    """Values with pairwise gaps: no ties for max."""
     from repro.tensor import Tensor
 
     rng = np.random.default_rng(seed)
@@ -84,16 +84,9 @@ def gradcheck_cases():
     # the float64 policy gradcheck pins.
     _W12 = _const(12)
     _W22 = _const(2, 2)
-    _W34 = _const(3, 4)
     _W43 = _const(4, 3)
     _W36 = _const(3, 6)
-    _W38 = _const(3, 8)
-    _W56 = _const(5, 6)
-    _W64 = _const(6, 4)
-    _W35 = _const(3, 5)
-    _W134 = _const(1, 3, 4)
     _W234 = _const(2, 3, 4)
-    _MASK = np.random.default_rng(101).random((3, 4)) > 0.5
 
     cases = {
         # ops.py ------------------------------------------------------
@@ -106,26 +99,13 @@ def gradcheck_cases():
         "exp": (lambda ts: ts[0].exp().sum(), [_t(3, 4)]),
         "log": (lambda ts: ts[0].log().sum(), [_pos(3, 4)]),
         "sqrt": (lambda ts: ts[0].sqrt().sum(), [_pos(3, 4)]),
-        "abs_": (lambda ts: ts[0].abs().sum(), [_pos(3, 4, seed=1)]),
         "tanh": (lambda ts: ts[0].tanh().sum(), [_t(3, 4)]),
         "sigmoid": (lambda ts: ts[0].sigmoid().sum(), [_t(3, 4)]),
         "relu": (lambda ts: ts[0].relu().sum(), [_spread(3, 4)]),
-        "leaky_relu": (lambda ts: rt.leaky_relu(ts[0], 0.1).sum(),
-                       [_spread(3, 4, seed=2)]),
-        "softplus": (lambda ts: rt.softplus(ts[0]).sum(), [_t(3, 4)]),
-        "clip": (lambda ts: rt.clip(ts[0], -0.9, 0.9).sum(),
-                 [_spread(3, 4, seed=3)]),
-        "maximum": (lambda ts: rt.maximum(ts[0], ts[1]).sum(),
-                    [_spread(3, 4, seed=4), _spread(3, 4, seed=5)]),
-        "minimum": (lambda ts: rt.minimum(ts[0], ts[1]).sum(),
-                    [_spread(3, 4, seed=6), _spread(3, 4, seed=7)]),
-        "where": (lambda ts: rt.where(_MASK, ts[0], ts[1]).sum(),
-                  [_t(3, 4), _t(3, 4, seed=8)]),
         # reductions.py -----------------------------------------------
         "sum_": (lambda ts: ts[0].sum(axis=1).sum(), [_t(3, 4)]),
         "mean": (lambda ts: ts[0].mean(axis=0).sum(), [_t(3, 4)]),
         "max_": (lambda ts: ts[0].max(axis=1).sum(), [_spread(3, 4, seed=9)]),
-        "min_": (lambda ts: ts[0].min(axis=1).sum(), [_spread(3, 4, seed=10)]),
         "var": (lambda ts: rt.var(ts[0], axis=1).sum(), [_t(3, 4)]),
         "std": (lambda ts: rt.std(ts[0], axis=1, eps=1e-3).sum(), [_t(3, 4)]),
         "logsumexp": (lambda ts: rt.logsumexp(ts[0], axis=1).sum(),
@@ -148,35 +128,15 @@ def gradcheck_cases():
                                  for piece in rt.split(ts[0], 2, axis=1)),
                   [_t(3, 4)]),
         "getitem": (lambda ts: (ts[0][1:, ::2] * _W22).sum(), [_t(3, 4)]),
-        "pad": (lambda ts: (rt.pad(ts[0], ((1, 1), (0, 2))) * _W56).sum(),
-                [_t(3, 4)]),
         "broadcast_to": (lambda ts: (rt.broadcast_to(ts[0], (2, 3, 4))
                                      * _W234).sum(),
                          [_t(3, 4)]),
-        "squeeze": (lambda ts: (rt.squeeze(ts[0], axis=1) * _W43).sum(),
-                    [_t(4, 1, 3)]),
-        "expand_dims": (lambda ts: (rt.expand_dims(ts[0], 0)
-                                    * _W134).sum(),
-                        [_t(3, 4)]),
-        "flip": (lambda ts: (rt.flip(ts[0], 1) * _W34).sum(), [_t(3, 4)]),
-        "repeat_interleave": (lambda ts: (rt.repeat_interleave(ts[0], 2, 1)
-                                          * _W38).sum(),
-                              [_t(3, 4)]),
-        "tile": (lambda ts: (rt.tile(ts[0], (2, 1)) * _W64).sum(),
-                 [_t(3, 4)]),
         # matmul.py ---------------------------------------------------
         "matmul": (lambda ts: (ts[0] @ ts[1]).sum(), [_t(3, 4), _t(4, 2)]),
-        "dot": (lambda ts: rt.dot(ts[0], ts[1]), [_t(5), _t(5, seed=12)]),
-        "outer": (lambda ts: (rt.outer(ts[0], ts[1]) * _W35).sum(),
-                  [_t(3), _t(5, seed=13)]),
         # conv.py -----------------------------------------------------
         "conv2d": (lambda ts: (rt.conv2d(ts[0], ts[1], bias=ts[2],
                                          stride=1, padding=1) ** 2).sum(),
                    [_t(2, 3, 5, 5), _t(4, 3, 3, 3), _t(4)]),
-        "avg_pool2d": (lambda ts: (rt.avg_pool2d(ts[0], 2) ** 2).sum(),
-                       [_t(2, 3, 4, 4)]),
-        "max_pool2d": (lambda ts: (rt.max_pool2d(ts[0], 2) ** 2).sum(),
-                       [_spread(2, 3, 4, 4, seed=14)]),
         "global_avg_pool2d": (lambda ts: (rt.global_avg_pool2d(ts[0])
                                           ** 2).sum(),
                               [_t(2, 3, 4, 4)]),

@@ -182,15 +182,6 @@ def _sqrt(vals):
     return Interval(lo, hi, a.lo_open and a.lo > 0, a.hi_open)
 
 
-def _abs(vals):
-    (a,) = vals
-    if a.is_nonnegative:
-        return a
-    if a.hi <= 0:
-        return _neg(vals)
-    return Interval(0.0, max(-a.lo, a.hi))
-
-
 def _tanh(vals):
     (a,) = vals
     return Interval(math.tanh(a.lo), math.tanh(a.hi), a.lo_open, a.hi_open)
@@ -213,31 +204,6 @@ def _relu(vals):
     (a,) = vals
     return Interval(max(a.lo, 0.0), max(a.hi, 0.0),
                     a.lo_open and a.lo > 0, a.hi_open)
-
-
-def _softplus(vals):
-    (a,) = vals
-    def sp(x):
-        if x > 700:
-            return x
-        return math.log1p(math.exp(min(x, 700)))
-    # softplus is strictly positive everywhere.
-    lo = sp(a.lo) if not math.isinf(a.lo) else 0.0
-    return Interval(lo, sp(a.hi) if not math.isinf(a.hi) else _INF,
-                    lo_open=(lo == 0.0) or a.lo_open, hi_open=a.hi_open)
-
-
-def _maximum(vals):
-    a, b = vals
-    lo = max(a.lo, b.lo)
-    lo_open = (a.lo_open if a.lo > b.lo else b.lo_open if b.lo > a.lo
-               else a.lo_open and b.lo_open)
-    return Interval(lo, max(a.hi, b.hi), lo_open,
-                    a.hi_open if a.hi >= b.hi else b.hi_open)
-
-
-def _minimum(vals):
-    return _neg((_maximum([_neg((v,)) for v in vals]),))
 
 
 def _pow(vals):
@@ -269,11 +235,6 @@ def _within(vals):
     return out
 
 
-def _pad(vals):
-    # Padding injects the fill value; the common fill is 0.
-    return _within(vals).hull(Interval(0.0, 0.0))
-
-
 def _bilinear(vals):
     # matmul/conv sum products: nonneg x nonneg stays nonneg, otherwise
     # unknown.
@@ -290,42 +251,21 @@ _RULES = {
     "exp": _exp,
     "log": _log,
     "sqrt": _sqrt,
-    "abs": _abs,
     "tanh": _tanh,
     "sigmoid": _sigmoid,
     "relu": _relu,
-    "leaky_relu": _within,   # |leaky_relu(x)| <= |x| with the same sign
-    "softplus": _softplus,
-    "maximum": _maximum,
-    "minimum": _minimum,
     "pow": _pow,
     "sum": _sum,
     "mean": _within,
     "max": _within,
-    "min": _within,
-    "where": _within,
     "reshape": _within,
     "transpose": _within,
-    "swapaxes": _within,
-    "flatten": _within,
     "concat": _within,
     "stack": _within,
-    "split": _within,
     "getitem": _within,
-    "pad": _pad,
     "broadcast_to": _within,
-    "squeeze": _within,
-    "expand_dims": _within,
-    "flip": _within,
-    "repeat_interleave": _within,
-    "tile": _within,
-    "avg_pool2d": _within,
-    "max_pool2d": _within,
-    "global_avg_pool2d": _within,
     "matmul": _bilinear,
     "conv2d": _bilinear,
-    "dot": _bilinear,
-    "outer": _bilinear,
 }
 
 

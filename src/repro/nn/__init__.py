@@ -3,20 +3,11 @@
 from repro.nn.module import Module, Parameter
 from repro.nn import init
 from repro.nn.linear import Linear
-from repro.nn.conv import AvgPool2d, Conv2d, MaxPool2d
-from repro.nn.norm import BatchNorm2d, LayerNorm
-from repro.nn.activations import (
-    Dropout,
-    LeakyReLU,
-    ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
-    log_softmax,
-    softmax,
-)
-from repro.nn.container import ModuleList, Sequential
-from repro.nn.recurrent import GRU, GRUCell, LSTM, LSTMCell
+from repro.nn.conv import Conv2d
+from repro.nn.norm import BatchNorm2d
+from repro.nn.activations import log_softmax, softmax
+from repro.nn.container import ModuleList
+from repro.nn.recurrent import GRUCell
 from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
 from repro.nn.graph import (
     AdaptiveGraphConv,
@@ -25,26 +16,15 @@ from repro.nn.graph import (
     grid_adjacency,
     normalize_adjacency,
 )
-from repro.nn.losses import (
-    gaussian_nll,
-    huber_loss,
-    kl_diag_gaussians,
-    kl_standard_normal,
-    mae_loss,
-    mse_loss,
-)
+from repro.nn.losses import kl_diag_gaussians, kl_standard_normal, mse_loss
 
 __all__ = [
     "Module", "Parameter", "init",
-    "Linear", "Conv2d", "AvgPool2d", "MaxPool2d",
-    "BatchNorm2d", "LayerNorm",
-    "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Softplus", "Dropout",
+    "Linear", "Conv2d", "BatchNorm2d",
     "softmax", "log_softmax",
-    "Sequential", "ModuleList",
-    "GRUCell", "LSTMCell", "GRU", "LSTM",
+    "ModuleList", "GRUCell",
     "MultiHeadAttention", "scaled_dot_product_attention",
     "GraphConv", "ChebConv", "AdaptiveGraphConv",
     "grid_adjacency", "normalize_adjacency",
-    "mse_loss", "mae_loss", "huber_loss",
-    "kl_standard_normal", "kl_diag_gaussians", "gaussian_nll",
+    "mse_loss", "kl_standard_normal", "kl_diag_gaussians",
 ]

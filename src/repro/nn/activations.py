@@ -1,24 +1,11 @@
-"""Activation and regularization modules, plus functional helpers."""
+"""Functional softmax helpers."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.nn.module import Module
-from repro.tensor import Tensor
 from repro.tensor import ops as _ops
 from repro.tensor.reductions import logsumexp, max_, sum_
 
-__all__ = [
-    "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softplus",
-    "Dropout",
-    "softmax",
-    "log_softmax",
-]
+__all__ = ["softmax", "log_softmax"]
 
 
 def softmax(x, axis=-1):
@@ -31,64 +18,3 @@ def softmax(x, axis=-1):
 def log_softmax(x, axis=-1):
     """Numerically stable log-softmax along ``axis``."""
     return x - logsumexp(x, axis=axis, keepdims=True)
-
-
-class ReLU(Module):
-    """Rectified linear unit."""
-
-    def forward(self, x):
-        return _ops.relu(x)
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with a fixed negative slope."""
-
-    def __init__(self, negative_slope=0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x):
-        return _ops.leaky_relu(x, self.negative_slope)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x):
-        return _ops.tanh(x)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, x):
-        return _ops.sigmoid(x)
-
-
-class Softplus(Module):
-    """Softplus (smooth ReLU); used for positive std-dev heads."""
-
-    def forward(self, x):
-        return _ops.softplus(x)
-
-
-class Dropout(Module):
-    """Inverted dropout.
-
-    Active only in training mode; evaluation is the identity.  The mask
-    draws come from the layer's own generator, seeded at construction.
-    """
-
-    def __init__(self, p=0.5, rng=None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1); got {p}")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def forward(self, x):
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * Tensor(mask)

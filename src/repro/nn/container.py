@@ -1,36 +1,10 @@
-"""Module containers."""
+"""Module container."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.nn.module import Module
 
-__all__ = ["Sequential", "ModuleList"]
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers):
-        super().__init__()
-        for index, layer in enumerate(layers):
-            setattr(self, f"layer{index}", layer)
-        self._layers = list(layers)
-
-    def forward(self, x):
-        for layer in self._layers:
-            x = layer(x)
-        return x
-
-    def __len__(self):
-        return len(self._layers)
-
-    def __getitem__(self, index):
-        return self._layers[index]
-
-    def __iter__(self):
-        return iter(self._layers)
+__all__ = ["ModuleList"]
 
 
 class ModuleList(Module):

@@ -1,4 +1,4 @@
-"""Convolutional layers."""
+"""Convolutional layer."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import avg_pool2d, conv2d, max_pool2d
+from repro.tensor import conv2d
 
-__all__ = ["Conv2d", "AvgPool2d", "MaxPool2d"]
+__all__ = ["Conv2d"]
 
 
 class Conv2d(Module):
@@ -46,27 +46,3 @@ class Conv2d(Module):
             f"kernel_size={self.kernel_size}, stride={self.stride}, "
             f"padding={self.padding})"
         )
-
-
-class AvgPool2d(Module):
-    """Average pooling layer."""
-
-    def __init__(self, kernel_size, stride=None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x):
-        return avg_pool2d(x, self.kernel_size, self.stride)
-
-
-class MaxPool2d(Module):
-    """Max pooling layer."""
-
-    def __init__(self, kernel_size, stride=None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x):
-        return max_pool2d(x, self.kernel_size, self.stride)

@@ -10,32 +10,12 @@ import numpy as np
 
 from repro.tensor import get_default_dtype
 
-__all__ = [
-    "zeros",
-    "ones",
-    "constant",
-    "uniform",
-    "normal",
-    "glorot_uniform",
-    "glorot_normal",
-    "he_normal",
-    "orthogonal",
-]
+__all__ = ["zeros", "uniform", "normal", "glorot_uniform", "orthogonal"]
 
 
 def zeros(shape):
     """All-zero array (bias default)."""
     return np.zeros(shape, dtype=get_default_dtype())
-
-
-def ones(shape):
-    """All-one array (scale parameters in normalization layers)."""
-    return np.ones(shape, dtype=get_default_dtype())
-
-
-def constant(shape, value):
-    """Array filled with ``value``."""
-    return np.full(shape, value, dtype=get_default_dtype())
 
 
 def uniform(shape, rng, low=-0.05, high=0.05):
@@ -66,19 +46,6 @@ def glorot_uniform(shape, rng):
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return uniform(shape, rng, low=-limit, high=limit)
-
-
-def glorot_normal(shape, rng):
-    """Glorot/Xavier normal."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return normal(shape, rng, std=std)
-
-
-def he_normal(shape, rng):
-    """He normal, suited to ReLU networks."""
-    fan_in, _fan_out = _fans(shape)
-    return normal(shape, rng, std=np.sqrt(2.0 / fan_in))
 
 
 def orthogonal(shape, rng, gain=1.0):

@@ -7,37 +7,15 @@ Gaussians parameterized by ``(mean, log-variance)`` tensors.
 
 from __future__ import annotations
 
-from repro.tensor import abs_, exp, mean, sum_
+from repro.tensor import exp, mean, sum_
 
-__all__ = [
-    "mse_loss",
-    "mae_loss",
-    "huber_loss",
-    "kl_standard_normal",
-    "kl_diag_gaussians",
-    "gaussian_nll",
-]
+__all__ = ["mse_loss", "kl_standard_normal", "kl_diag_gaussians"]
 
 
 def mse_loss(prediction, target):
     """Mean squared error (the paper's regression loss, Eq. 30)."""
     diff = prediction - target
     return mean(diff * diff)
-
-
-def mae_loss(prediction, target):
-    """Mean absolute error."""
-    return mean(abs_(prediction - target))
-
-
-def huber_loss(prediction, target, delta=1.0):
-    """Huber loss: quadratic near zero, linear in the tails."""
-    from repro.tensor import minimum
-
-    error = abs_(prediction - target)
-    quadratic = minimum(error, delta)
-    linear = error - quadratic
-    return mean(0.5 * quadratic * quadratic + delta * linear)
 
 
 def kl_standard_normal(mu, logvar, reduce_mean=True):
@@ -64,17 +42,3 @@ def kl_diag_gaussians(mu_p, logvar_p, mu_q, logvar_q, reduce_mean=True):
     )
     per_sample = sum_(per_dim, axis=-1)
     return mean(per_sample) if reduce_mean else per_sample
-
-
-def gaussian_nll(target, mu, logvar=None):
-    """Negative log-likelihood of ``target`` under a diagonal Gaussian.
-
-    With ``logvar=None`` the variance is fixed at 1, reducing to MSE up
-    to constants — the standard VAE reconstruction term for continuous
-    data (used for ``log q_theta(i | z^i, z^s)`` in Eq. 28).
-    """
-    diff = target - mu
-    if logvar is None:
-        return mean(sum_(0.5 * diff * diff, axis=-1))
-    per_dim = 0.5 * (logvar + diff * diff / exp(logvar))
-    return mean(sum_(per_dim, axis=-1))

@@ -111,7 +111,7 @@ class Module:
     # Modes
     # ------------------------------------------------------------------
     def train(self, mode=True):
-        """Set training mode recursively (affects dropout, batch norm)."""
+        """Set training mode recursively (affects batch norm)."""
         object.__setattr__(self, "training", mode)
         for child in self._modules.values():
             child.train(mode)

@@ -1,14 +1,16 @@
-"""Normalization layers."""
+"""Batch normalization."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, get_default_dtype
 from repro.tensor.reductions import mean, var
 from repro.tensor.ops import sqrt
 
-__all__ = ["BatchNorm2d", "LayerNorm"]
+__all__ = ["BatchNorm2d"]
 
 
 class BatchNorm2d(Module):
@@ -23,10 +25,11 @@ class BatchNorm2d(Module):
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
-        self.weight = Parameter(init.ones((num_features,)), name="weight")
+        ones = np.ones((num_features,), dtype=get_default_dtype())
+        self.weight = Parameter(ones.copy(), name="weight")
         self.bias = Parameter(init.zeros((num_features,)), name="bias")
         self.running_mean = init.zeros((num_features,))
-        self.running_var = init.ones((num_features,))
+        self.running_var = ones
 
     def forward(self, x):
         if x.ndim != 4:
@@ -49,23 +52,3 @@ class BatchNorm2d(Module):
         scale = self.weight.reshape((1, -1, 1, 1))
         shift = self.bias.reshape((1, -1, 1, 1))
         return normalized * scale + shift
-
-
-class LayerNorm(Module):
-    """Layer normalization over the trailing ``normalized_shape`` axes."""
-
-    def __init__(self, normalized_shape, eps=1e-5):
-        super().__init__()
-        if isinstance(normalized_shape, int):
-            normalized_shape = (normalized_shape,)
-        self.normalized_shape = tuple(normalized_shape)
-        self.eps = eps
-        self.weight = Parameter(init.ones(self.normalized_shape), name="weight")
-        self.bias = Parameter(init.zeros(self.normalized_shape), name="bias")
-
-    def forward(self, x):
-        axes = tuple(range(x.ndim - len(self.normalized_shape), x.ndim))
-        mu = mean(x, axis=axes, keepdims=True)
-        sigma2 = var(x, axis=axes, keepdims=True)
-        normalized = (x - mu) / sqrt(sigma2 + self.eps)
-        return normalized * self.weight + self.bias

@@ -1,4 +1,4 @@
-"""Recurrent cells and sequence wrappers (for the RNN baselines)."""
+"""Recurrent cell (for the RNN baselines)."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, concat, sigmoid, split, stack, tanh
+from repro.tensor import Tensor, sigmoid, split, tanh
 
-__all__ = ["GRUCell", "LSTMCell", "GRU", "LSTM"]
+__all__ = ["GRUCell"]
 
 
 class GRUCell(Module):
@@ -37,76 +37,3 @@ class GRUCell(Module):
         update = sigmoid(zx + zh)
         candidate = tanh(nx + reset * nh)
         return update * h + (1.0 - update) * candidate
-
-
-class LSTMCell(Module):
-    """Long short-term memory cell."""
-
-    def __init__(self, input_size, hidden_size, rng=None):
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        # Fused gates: [input | forget | cell | output].
-        self.w_ih = Parameter(init.glorot_uniform((input_size, 4 * hidden_size), rng))
-        self.w_hh = Parameter(init.orthogonal((hidden_size, 4 * hidden_size), rng))
-        self.b = Parameter(init.zeros((4 * hidden_size,)))
-        # Forget-gate bias of 1 is the standard trick for gradient flow.
-        self.b.data[hidden_size:2 * hidden_size] = 1.0
-
-    def initial_state(self, batch_size, dtype=None):
-        """Zero (hidden, cell) states."""
-        zeros = np.zeros((batch_size, self.hidden_size), dtype=dtype)
-        return Tensor(zeros.copy()), Tensor(zeros.copy())
-
-    def forward(self, x, state):
-        h, c = state
-        gates = x @ self.w_ih + h @ self.w_hh + self.b
-        i, f, g, o = split(gates, 4, axis=-1)
-        i = sigmoid(i)
-        f = sigmoid(f)
-        g = tanh(g)
-        o = sigmoid(o)
-        c_next = f * c + i * g
-        h_next = o * tanh(c_next)
-        return h_next, c_next
-
-
-class GRU(Module):
-    """Run a :class:`GRUCell` over a ``(N, T, F)`` sequence.
-
-    Returns ``(outputs, last_hidden)`` where outputs is ``(N, T, H)``.
-    """
-
-    def __init__(self, input_size, hidden_size, rng=None):
-        super().__init__()
-        self.cell = GRUCell(input_size, hidden_size, rng=rng)
-
-    def forward(self, x, h=None):
-        batch, steps, _features = x.shape
-        if h is None:
-            h = self.cell.initial_state(batch, dtype=x.dtype)
-        outputs = []
-        for t in range(steps):
-            h = self.cell(x[:, t, :], h)
-            outputs.append(h)
-        return stack(outputs, axis=1), h
-
-
-class LSTM(Module):
-    """Run an :class:`LSTMCell` over a ``(N, T, F)`` sequence."""
-
-    def __init__(self, input_size, hidden_size, rng=None):
-        super().__init__()
-        self.cell = LSTMCell(input_size, hidden_size, rng=rng)
-
-    def forward(self, x, state=None):
-        batch, steps, _features = x.shape
-        if state is None:
-            state = self.cell.initial_state(batch, dtype=x.dtype)
-        h, c = state
-        outputs = []
-        for t in range(steps):
-            h, c = self.cell(x[:, t, :], (h, c))
-            outputs.append(h)
-        return stack(outputs, axis=1), (h, c)

@@ -1,30 +1,8 @@
-"""Optimizers, schedules, and gradient clipping."""
+"""The Adam optimizer and gradient-norm clipping."""
 
 from repro.optim.base import Optimizer
-from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.adamw import AdamW
-from repro.optim.adagrad import Adagrad
-from repro.optim.rmsprop import RMSProp
-from repro.optim.schedules import (
-    CosineDecay,
-    ExponentialDecay,
-    StepDecay,
-    WarmupCosine,
-)
-from repro.optim.clip import clip_grad_norm, clip_grad_value
-from repro.optim.reference import (
-    ReferenceAdagrad,
-    ReferenceAdam,
-    ReferenceAdamW,
-    ReferenceRMSProp,
-    ReferenceSGD,
-)
+from repro.optim.clip import clip_grad_norm
+from repro.optim.reference import ReferenceAdam
 
-__all__ = [
-    "Optimizer", "SGD", "Adam", "AdamW", "Adagrad", "RMSProp",
-    "ReferenceSGD", "ReferenceAdam", "ReferenceAdamW", "ReferenceAdagrad",
-    "ReferenceRMSProp",
-    "StepDecay", "ExponentialDecay", "CosineDecay", "WarmupCosine",
-    "clip_grad_norm", "clip_grad_value",
-]
+__all__ = ["Optimizer", "Adam", "ReferenceAdam", "clip_grad_norm"]

@@ -21,7 +21,6 @@ class Adam(Optimizer):
     """
 
     _moments = ("m", "v")
-    _counts_steps = True
 
     def __init__(self, parameters, lr=2e-4, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=0.0):

@@ -2,9 +2,9 @@
 
 An optimizer owns, for the parameters of each dtype in
 ``optimizer.parameters`` order, one flat gradient buffer and one flat
-buffer per moment (Adam's ``m`` and ``v``, SGD's ``velocity``, ...):
-its *arena*.  Every parameter's ``_grad_buf`` is its view of the
-gradient arena, so backward's first deposit lands there
+buffer per moment (Adam's ``m`` and ``v``): its *arena*.  Every
+parameter's ``_grad_buf`` is its view of the gradient arena, so
+backward's first deposit lands there
 (:meth:`repro.tensor.Tensor._accumulate_grad`), and every per-parameter
 state dict holds views of the moment arenas, so checkpoints, rollback
 snapshots and ``_state`` keep their per-parameter format.
@@ -97,27 +97,24 @@ class _Arena:
 class Optimizer:
     """Base class: holds the parameter list and the update contract.
 
-    Subclasses name their per-parameter state arrays in ``_moments``,
-    set ``_counts_steps`` when the state carries a step count ``t``, and
-    implement the block kernel ``_update(data, grad, moments, buffers,
-    t)``: ``data``, ``grad`` and each of ``moments`` are 1-D rows of one
-    block, ``buffers`` two scratch rows of the same length, and ``t``
-    the step count every parameter of the block shares (``None`` for
-    optimizers that count no steps).  Kernels update ``data`` and the
-    moments in place with ``out=`` numpy calls and allocate nothing
-    (the ``optimizer-out`` lint rule checks every ``_update``).
+    Subclasses name their per-parameter state arrays in ``_moments``
+    and implement the block kernel ``_update(data, grad, moments,
+    buffers, t)``: ``data``, ``grad`` and each of ``moments`` are 1-D
+    rows of one block, ``buffers`` two scratch rows of the same length,
+    and ``t`` the step count (state ``"t"``) every parameter of the
+    block shares.  Kernels update ``data`` and the moments in place
+    with ``out=`` numpy calls and allocate nothing (the
+    ``optimizer-out`` lint rule checks every ``_update``).
 
     Parameters with no gradient are skipped and keep their state, so
     models with conditional branches train.  The sweep runs over
-    maximal runs of consecutive parameters that have a gradient and,
-    with ``_counts_steps``, the same next ``t``.  The arena is
-    allocated by the first step (and by :meth:`flat_grads`) and
-    reported through :meth:`_note_alloc`; steady-state steps allocate
-    nothing.
+    maximal runs of consecutive parameters that have a gradient and
+    the same next ``t``.  The arena is allocated by the first step (and
+    by :meth:`flat_grads`) and reported through :meth:`_note_alloc`;
+    steady-state steps allocate nothing.
     """
 
     _moments = ()
-    _counts_steps = False
 
     def __init__(self, parameters, lr):
         parameters = list(parameters)
@@ -206,7 +203,6 @@ class Optimizer:
         """
         params, states = self.parameters, self._state
         names = self._moments
-        counts = self._counts_steps
         runs, flats = [], []
         start = run_t = None
         for k, index in enumerate(arena.indices):
@@ -236,9 +232,7 @@ class Optimizer:
                     else:
                         np.copyto(view, value, casting="unsafe")
                     state[name] = view
-            t = None
-            if counts:
-                t = state["t"] = state.get("t", 0) + 1
+            t = state["t"] = state.get("t", 0) + 1
             if start is not None and t != run_t:
                 runs.append((start, k, run_t))
                 start = None

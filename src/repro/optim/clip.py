@@ -1,10 +1,10 @@
-"""Gradient clipping utilities."""
+"""Gradient-norm clipping."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["clip_grad_norm", "clip_grad_value"]
+__all__ = ["clip_grad_norm"]
 
 
 def clip_grad_norm(parameters, max_norm, norm=None):
@@ -30,10 +30,3 @@ def clip_grad_norm(parameters, max_norm, norm=None):
         for grad in grads:
             np.multiply(grad, scale, out=grad)
     return total
-
-
-def clip_grad_value(parameters, max_value):
-    """Clamp every gradient element to ``[-max_value, max_value]``."""
-    for param in parameters:
-        if param.grad is not None:
-            np.clip(param.grad, -max_value, max_value, out=param.grad)

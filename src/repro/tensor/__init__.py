@@ -24,48 +24,35 @@ from repro.tensor import shape as _shape
 from repro.tensor import matmul as _matmul
 from repro.tensor import conv as _conv
 from repro.tensor.ops import (
-    abs_,
     add,
     unbroadcast,
-    clip,
     div,
     exp,
-    leaky_relu,
     log,
-    maximum,
-    minimum,
     mul,
     neg,
     pow_,
     relu,
     sigmoid,
-    softplus,
     sqrt,
     sub,
     tanh,
-    where,
 )
-from repro.tensor.reductions import logsumexp, max_, mean, min_, std, sum_, var
+from repro.tensor.reductions import logsumexp, max_, mean, std, sum_, var
 from repro.tensor.shape import (
     broadcast_to,
     concat,
-    expand_dims,
     flatten,
-    flip,
     getitem,
-    pad,
-    repeat_interleave,
     reshape,
     split,
-    squeeze,
     stack,
     swapaxes,
-    tile,
     transpose,
 )
-from repro.tensor.matmul import dot, matmul, outer
-from repro.tensor.conv import avg_pool2d, conv2d, global_avg_pool2d, max_pool2d
-from repro.tensor.random import make_rng, normal_like, reparameterize_noise, spawn
+from repro.tensor.matmul import matmul
+from repro.tensor.conv import conv2d, global_avg_pool2d
+from repro.tensor.random import make_rng, reparameterize_noise
 from repro.tensor.gradcheck import check_gradients, numerical_gradient
 from repro.tensor.anomaly import AnomalyError, detect_anomaly, is_anomaly_enabled
 
@@ -91,16 +78,13 @@ Tensor.__getitem__ = _shape.getitem
 Tensor.exp = _ops.exp
 Tensor.log = _ops.log
 Tensor.sqrt = _ops.sqrt
-Tensor.abs = _ops.abs_
 Tensor.tanh = _ops.tanh
 Tensor.sigmoid = _ops.sigmoid
 Tensor.relu = _ops.relu
-Tensor.clip = _ops.clip
 
 Tensor.sum = _reductions.sum_
 Tensor.mean = _reductions.mean
 Tensor.max = _reductions.max_
-Tensor.min = _reductions.min_
 Tensor.var = _reductions.var
 Tensor.std = _reductions.std
 
@@ -108,8 +92,6 @@ Tensor.reshape = _shape.reshape
 Tensor.transpose = _shape.transpose
 Tensor.swapaxes = _shape.swapaxes
 Tensor.flatten = _shape.flatten
-Tensor.squeeze = _shape.squeeze
-Tensor.expand_dims = _shape.expand_dims
 
 __all__ = [
     "Tensor",
@@ -120,20 +102,17 @@ __all__ = [
     "get_default_dtype",
     "default_dtype",
     # ops
-    "add", "sub", "mul", "div", "neg", "pow_", "exp", "log", "sqrt", "abs_",
-    "tanh", "sigmoid", "relu", "leaky_relu", "softplus", "clip", "maximum",
-    "minimum", "where", "unbroadcast",
+    "add", "sub", "mul", "div", "neg", "pow_", "exp", "log", "sqrt",
+    "tanh", "sigmoid", "relu", "unbroadcast",
     # reductions
-    "sum_", "mean", "max_", "min_", "var", "std", "logsumexp",
+    "sum_", "mean", "max_", "var", "std", "logsumexp",
     # shape
     "reshape", "transpose", "swapaxes", "flatten", "concat", "stack", "split",
-    "getitem", "pad", "broadcast_to", "squeeze", "expand_dims", "flip",
-    "repeat_interleave", "tile",
+    "getitem", "broadcast_to",
     # matmul / conv
-    "matmul", "dot", "outer", "conv2d", "avg_pool2d", "max_pool2d",
-    "global_avg_pool2d",
+    "matmul", "conv2d", "global_avg_pool2d",
     # random / gradcheck
-    "make_rng", "spawn", "normal_like", "reparameterize_noise",
+    "make_rng", "reparameterize_noise",
     "check_gradients", "numerical_gradient",
     # anomaly detection
     "AnomalyError", "detect_anomaly", "is_anomaly_enabled",

@@ -1,4 +1,4 @@
-"""2-D convolution and pooling with gradients.
+"""2-D convolution and global average pooling with gradients.
 
 :func:`conv2d` is an im2col convolution in a *K-major* layout.  The
 forward pass takes the receptive fields of the (padded) input as a
@@ -47,9 +47,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.tensor import tensor as _core
 from repro.tensor.scratch import default_pool
-from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
+from repro.tensor.tensor import Tensor, as_tensor
 
-__all__ = ["conv2d", "avg_pool2d", "max_pool2d", "global_avg_pool2d"]
+__all__ = ["conv2d", "global_avg_pool2d"]
 
 
 def _pair(value):
@@ -206,88 +206,6 @@ def _input_grad(grad, weight, pool, dt, stride, padding, size):
     np.matmul(flipped.reshape(c_in, ck), col.reshape(ck, n * h * w),
               out=gemm)
     return gemm.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
-
-
-def avg_pool2d(x, kernel_size, stride=None):
-    """Average pooling over non-overlapping or strided windows."""
-    x = as_tensor(x)
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride if stride is not None else kernel_size)
-    n, c, h, w = x.shape
-    h_out = (h - kh) // sh + 1
-    w_out = (w - kw) // sw + 1
-    windows = sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    out = windows.mean(axis=(4, 5))
-    scale = 1.0 / (kh * kw)
-
-    def backward(grad):
-        grad_x = np.zeros_like(x.data)
-        for p in range(kh):
-            for q in range(kw):
-                grad_x[:, :, p:p + h_out * sh:sh, q:q + w_out * sw:sw] += grad * scale
-        x._accumulate_grad(grad_x)
-
-    result = Tensor._from_op(out, (x,), backward, name="avg_pool2d")
-
-    recorder = _core._THREAD.hooks.recorder
-    if recorder is not None:
-        x_d, out_d = x.data, result.data
-
-        def refresh():
-            # ``windows`` is a strided view over x.data: auto-fresh.
-            np.mean(windows, axis=(4, 5), out=out_d)
-
-        recorder.run(refresh, reads=(x_d,), writes=(out_d,))
-    return result
-
-
-def max_pool2d(x, kernel_size, stride=None):
-    """Max pooling; ties split the gradient evenly.
-
-    The 6-D tie mask and gradient-share arrays (``kh * kw`` times the
-    input's footprint) are only materialised when a backward closure
-    will actually be recorded — under ``no_grad()`` or for detached
-    inputs the forward allocates nothing beyond the pooled output.
-    """
-    x = as_tensor(x)
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride if stride is not None else kernel_size)
-    n, c, h, w = x.shape
-    h_out = (h - kh) // sh + 1
-    w_out = (w - kw) // sw + 1
-    windows = sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    out = windows.max(axis=(4, 5))
-
-    backward = None
-    mask = counts = share = None
-    if is_grad_enabled() and x.requires_grad:
-        mask = windows == out[..., None, None]
-        counts = mask.sum(axis=(4, 5), keepdims=True)
-        share = mask / counts
-
-        def backward(grad):
-            grad_x = np.zeros_like(x.data)
-            weighted = grad[..., None, None] * share
-            for p in range(kh):
-                for q in range(kw):
-                    grad_x[:, :, p:p + h_out * sh:sh, q:q + w_out * sw:sw] += weighted[..., p, q]
-            x._accumulate_grad(grad_x)
-
-    result = Tensor._from_op(out, (x,), backward, name="max_pool2d")
-
-    recorder = _core._THREAD.hooks.recorder
-    if recorder is not None:
-        x_d, out_d = x.data, result.data
-
-        def refresh():
-            np.max(windows, axis=(4, 5), out=out_d)
-            if mask is not None:
-                np.equal(windows, out_d[..., None, None], out=mask)
-                counts[...] = mask.sum(axis=(4, 5), keepdims=True)
-                np.divide(mask, counts, out=share)
-
-        recorder.run(refresh, reads=(x_d,), writes=(out_d,))
-    return result
 
 
 def global_avg_pool2d(x):

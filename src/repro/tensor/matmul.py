@@ -8,7 +8,7 @@ from repro.tensor import tensor as _core
 from repro.tensor.tensor import Tensor, as_tensor
 from repro.tensor.ops import unbroadcast
 
-__all__ = ["matmul", "dot", "outer"]
+__all__ = ["matmul"]
 
 
 def matmul(a, b):
@@ -71,21 +71,3 @@ def matmul(a, b):
 
             rec.run(refresh, reads=(ad, bd), writes=(od,))
     return result
-
-
-def dot(a, b):
-    """Inner product of two 1-D tensors."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("dot expects 1-D tensors; use matmul for higher ranks")
-    return matmul(a, b)
-
-
-def outer(a, b):
-    """Outer product of two 1-D tensors."""
-    from repro.tensor.shape import reshape
-
-    a = as_tensor(a)
-    b = as_tensor(b)
-    return matmul(reshape(a, (-1, 1)), reshape(b, (1, -1)))

@@ -10,8 +10,8 @@ When a :mod:`repro.compile` recorder is installed on the calling
 thread (the ``recorder`` field of ``tensor._THREAD.hooks``) each op
 additionally registers a *refresh kernel* describing how to recompute
 its output buffer in place: either a ``ufunc`` spec (fusable into an
-``out=``-dispatched chain) or a small closure for ops with auxiliary
-state (masks, scales).  Ops on other threads register nothing.
+``out=``-dispatched chain) or a small closure for a forward no single
+ufunc computes.  Ops on other threads register nothing.
 Backward closures read their captured arrays — which the refresh
 kernels update in place — so one recorded step can be replayed against
 new inputs without rebuilding the graph.
@@ -35,16 +35,9 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "abs_",
     "tanh",
     "sigmoid",
     "relu",
-    "leaky_relu",
-    "softplus",
-    "clip",
-    "maximum",
-    "minimum",
-    "where",
 ]
 
 
@@ -83,15 +76,15 @@ def _coerce_operands(a, b):
     return a, as_tensor(b, dtype=a.dtype)
 
 
-def _binary(a, b, forward, grad_a, grad_b, name):
-    """Build a broadcasting binary op.
+def _binary_ufunc(a, b, fn, grad_a, grad_b, name):
+    """Build a broadcasting binary op whose forward is the ufunc ``fn``.
 
     ``grad_a``/``grad_b`` map the upstream gradient to the raw (still
     broadcast-shaped) gradient of each input; unbroadcasting to the
-    input shapes happens here so individual ops don't repeat it.
+    input shapes happens here so individual ops don't repeat it.  The
+    ufunc forward gives the op a fusable refresh.
     """
     a, b = _coerce_operands(a, b)
-    data = forward(a.data, b.data)
 
     def backward(grad):
         if a.requires_grad:
@@ -99,13 +92,7 @@ def _binary(a, b, forward, grad_a, grad_b, name):
         if b.requires_grad:
             b._accumulate_grad(unbroadcast(grad_b(grad), b.shape))
 
-    return Tensor._from_op(data, (a, b), backward, name=name)
-
-
-def _binary_ufunc(a, b, fn, grad_a, grad_b, name):
-    """A :func:`_binary` whose forward is a plain ufunc: fusable refresh."""
-    a, b = _coerce_operands(a, b)
-    result = _binary(a, b, fn, grad_a, grad_b, name)
+    result = Tensor._from_op(fn(a.data, b.data), (a, b), backward, name=name)
     rec = _core._THREAD.hooks.recorder
     if rec is not None:
         rec.ufunc(fn, (a.data, b.data), result.data)
@@ -139,49 +126,6 @@ def div(a, b):
         lambda g: -g * a.data / (b.data * b.data),
         "div",
     )
-
-
-def maximum(a, b):
-    """Elementwise maximum; gradient flows to the larger input.
-
-    Ties send the full gradient to ``a`` (matching ``np.maximum``'s
-    choice of the first argument), keeping the op's gradient well
-    defined under gradient checking.
-    """
-    a, b = _coerce_operands(a, b)
-    mask = a.data >= b.data
-    result = _binary(
-        a, b, np.maximum, lambda g: g * mask, lambda g: g * (~mask), "maximum"
-    )
-    rec = _core._THREAD.hooks.recorder
-    if rec is not None:
-        ad, bd, od = a.data, b.data, result.data
-
-        def refresh():
-            np.greater_equal(ad, bd, out=mask)
-            np.maximum(ad, bd, out=od)
-
-        rec.run(refresh, reads=(ad, bd), writes=(od,))
-    return result
-
-
-def minimum(a, b):
-    """Elementwise minimum; gradient flows to the smaller input."""
-    a, b = _coerce_operands(a, b)
-    mask = a.data <= b.data
-    result = _binary(
-        a, b, np.minimum, lambda g: g * mask, lambda g: g * (~mask), "minimum"
-    )
-    rec = _core._THREAD.hooks.recorder
-    if rec is not None:
-        ad, bd, od = a.data, b.data, result.data
-
-        def refresh():
-            np.less_equal(ad, bd, out=mask)
-            np.minimum(ad, bd, out=od)
-
-        rec.run(refresh, reads=(ad, bd), writes=(od,))
-    return result
 
 
 def _unary(a, data, grad_fn, name):
@@ -250,12 +194,6 @@ def sqrt(a):
     return _unary_graph_output(a, np.sqrt, data, lambda d: lambda g: g * 0.5 / d, "sqrt")
 
 
-def abs_(a):
-    """Elementwise absolute value (subgradient 0 at zero... sign)."""
-    a = as_tensor(a)
-    return _unary_ufunc(a, np.absolute, lambda g: g * np.sign(a.data), "abs")
-
-
 def tanh(a):
     """Elementwise hyperbolic tangent."""
     a = as_tensor(a)
@@ -292,96 +230,4 @@ def relu(a):
         # Two fusable specs: refresh the mask, then the masked product.
         rec.ufunc(np.greater, (a.data, 0), mask)
         rec.ufunc(np.multiply, (a.data, mask), result.data)
-    return result
-
-
-def leaky_relu(a, negative_slope=0.01):
-    """Leaky ReLU with configurable negative slope."""
-    a = as_tensor(a)
-    mask = a.data > 0
-    scale = np.where(mask, 1.0, negative_slope)
-    result = _unary(a, a.data * scale, lambda g: g * scale, "leaky_relu")
-    rec = _core._THREAD.hooks.recorder
-    if rec is not None:
-        ad, od = a.data, result.data
-
-        def refresh():
-            np.greater(ad, 0, out=mask)
-            scale[...] = np.where(mask, 1.0, negative_slope)
-            np.multiply(ad, scale, out=od)
-
-        rec.run(refresh, reads=(ad,), writes=(od,))
-    return result
-
-
-def softplus(a):
-    """Numerically stable ``log(1 + exp(a))``."""
-    a = as_tensor(a)
-    x = a.data
-    data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-    result = _unary(a, data, lambda g: g * sig, "softplus")
-    rec = _core._THREAD.hooks.recorder
-    if rec is not None:
-        od = result.data
-
-        def refresh():
-            od[...] = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-            sig[...] = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
-                                np.exp(x) / (1.0 + np.exp(x)))
-
-        rec.run(refresh, reads=(x,), writes=(od,))
-    return result
-
-
-def clip(a, low, high):
-    """Clamp values to ``[low, high]``; gradient is zero outside."""
-    a = as_tensor(a)
-    mask = (a.data >= low) & (a.data <= high)
-    result = _unary(a, np.clip(a.data, low, high), lambda g: g * mask, "clip")
-    rec = _core._THREAD.hooks.recorder
-    if rec is not None:
-        ad, od = a.data, result.data
-
-        def refresh():
-            mask[...] = (ad >= low) & (ad <= high)
-            np.clip(ad, low, high, out=od)
-
-        rec.run(refresh, reads=(ad,), writes=(od,))
-    return result
-
-
-def where(condition, a, b):
-    """Select from ``a`` where ``condition`` else from ``b``.
-
-    ``condition`` is a plain boolean array (no gradient flows to it).
-    """
-    cond_src = condition.data if isinstance(condition, Tensor) else None
-    cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    cond = cond.astype(bool)
-    a, b = _coerce_operands(a, b)
-    data = np.where(cond, a.data, b.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate_grad(unbroadcast(grad * cond, a.shape))
-        if b.requires_grad:
-            b._accumulate_grad(unbroadcast(grad * (~cond), b.shape))
-
-    result = Tensor._from_op(data, (a, b), backward, name="where")
-    rec = _core._THREAD.hooks.recorder
-    if rec is not None:
-        ad, bd, od = a.data, b.data, result.data
-        # A tensor-valued condition may itself be refreshed by the plan;
-        # re-derive the bool snapshot from the live buffer each replay.
-        src = cond_src if cond_src is not None and cond_src is not cond else None
-        reads = (ad, bd) if src is None else (src, ad, bd)
-
-        def refresh():
-            if src is not None:
-                cond[...] = src
-            np.copyto(od, bd)
-            np.copyto(od, ad, where=cond)
-
-        rec.run(refresh, reads=reads, writes=(od,))
     return result

@@ -2,10 +2,7 @@
 
 All stochastic behaviour in the library flows through
 ``numpy.random.Generator`` objects so experiments are reproducible from
-a single integer seed.  :func:`spawn` derives independent child
-generators for submodules (data simulation, weight init,
-reparameterization noise) so changing one consumer does not shift the
-random stream of another.
+a single integer seed.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ import numpy as np
 from repro.tensor import tensor as _core
 from repro.tensor.tensor import Tensor
 
-__all__ = ["make_rng", "spawn", "normal_like", "reparameterize_noise"]
+__all__ = ["make_rng", "reparameterize_noise"]
 
 
 def make_rng(seed):
@@ -25,13 +22,7 @@ def make_rng(seed):
     return np.random.default_rng(seed)
 
 
-def spawn(rng, count):
-    """Derive ``count`` statistically independent child generators."""
-    seq = np.random.SeedSequence(rng.integers(0, 2**63 - 1, dtype=np.int64))
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-def _record_draw(buf, rng, shape, scale):
+def _record_draw(buf, rng, shape):
     """Register an rng-draw replay kernel for a noise leaf.
 
     The kernel captures the *generator object* — replay draws from it in
@@ -45,22 +36,12 @@ def _record_draw(buf, rng, shape, scale):
 
     def draw():
         buf[...] = rng.standard_normal(shape)
-        if scale != 1.0:
-            np.multiply(buf, scale, out=buf)
 
     rec.rng(draw, writes=(buf,))
-
-
-def normal_like(tensor, rng, scale=1.0):
-    """Detached standard-normal noise with ``tensor``'s shape and dtype."""
-    data = rng.standard_normal(tensor.shape).astype(tensor.dtype) * scale
-    result = Tensor(data)
-    _record_draw(result.data, rng, tensor.shape, scale)
-    return result
 
 
 def reparameterize_noise(shape, rng, dtype=np.float64):
     """Standard-normal epsilon for the VAE reparameterization trick."""
     result = Tensor(rng.standard_normal(shape).astype(dtype))
-    _record_draw(result.data, rng, shape, 1.0)
+    _record_draw(result.data, rng, shape)
     return result

@@ -7,7 +7,7 @@ import numpy as np
 from repro.tensor import tensor as _core
 from repro.tensor.tensor import Tensor, as_tensor
 
-__all__ = ["sum_", "mean", "max_", "min_", "var", "std", "logsumexp"]
+__all__ = ["sum_", "mean", "max_", "var", "std", "logsumexp"]
 
 
 def _normalize_axis(axis, ndim):
@@ -67,16 +67,16 @@ def mean(a, axis=None, keepdims=False):
     return result
 
 
-def _extreme(a, axis, keepdims, np_fn, name):
-    """Shared implementation of max/min.
+def max_(a, axis=None, keepdims=False):
+    """Maximum over ``axis``.
 
-    When several elements tie for the extreme, the gradient is split
+    When several elements tie for the maximum, the gradient is split
     evenly among them, which keeps the op consistent under gradient
     checking.
     """
     a = as_tensor(a)
     axis = _normalize_axis(axis, a.ndim)
-    data = np_fn(a.data, axis=axis, keepdims=keepdims)
+    data = np.max(a.data, axis=axis, keepdims=keepdims)
     expanded = _expand_to_input(data, a.shape, axis, keepdims)
     mask = (a.data == expanded).astype(a.data.dtype)
     # counts is always a 0-d/keepdims array (never a python scalar) so a
@@ -90,13 +90,13 @@ def _extreme(a, axis, keepdims, np_fn, name):
             else np.broadcast_to(counts, a.shape)
         a._accumulate_grad(g * mask / c)
 
-    result = Tensor._from_op(data, (a,), backward, name=name)
+    result = Tensor._from_op(data, (a,), backward, name="max")
     rec = _core._THREAD.hooks.recorder
     if rec is not None:
         ad, od = a.data, result.data
 
         def refresh():
-            np_fn(ad, axis=axis, keepdims=keepdims, out=od)
+            np.max(ad, axis=axis, keepdims=keepdims, out=od)
             # Re-expand from the live output (``expanded`` may wrap a
             # scalar snapshot when the forward reduced to 0-d).
             mask[...] = ad == _expand_to_input(od, ad.shape, axis, keepdims)
@@ -107,16 +107,6 @@ def _extreme(a, axis, keepdims, np_fn, name):
 
         rec.run(refresh, reads=(ad,), writes=(od,))
     return result
-
-
-def max_(a, axis=None, keepdims=False):
-    """Maximum over ``axis``."""
-    return _extreme(a, axis, keepdims, np.max, "max")
-
-
-def min_(a, axis=None, keepdims=False):
-    """Minimum over ``axis``."""
-    return _extreme(a, axis, keepdims, np.min, "min")
 
 
 def var(a, axis=None, keepdims=False, ddof=0):

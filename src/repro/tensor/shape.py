@@ -38,13 +38,7 @@ __all__ = [
     "stack",
     "split",
     "getitem",
-    "pad",
     "broadcast_to",
-    "squeeze",
-    "expand_dims",
-    "flip",
-    "repeat_interleave",
-    "tile",
 ]
 
 
@@ -173,38 +167,6 @@ def getitem(a, index):
     return result
 
 
-def pad(a, pad_width, value=0.0):
-    """Constant-pad; ``pad_width`` follows ``numpy.pad`` conventions."""
-    a = as_tensor(a)
-    data = np.pad(a.data, pad_width, mode="constant", constant_values=value)
-    norm = np.asarray(
-        np.broadcast_to(np.asarray(pad_width, dtype=int).reshape(-1, 2)
-                        if np.asarray(pad_width).ndim > 1
-                        else np.tile(np.asarray(pad_width, dtype=int), (a.ndim, 1)),
-                        (a.ndim, 2))
-    )
-    slices = tuple(
-        slice(before, dim + before) for (before, _after), dim in zip(norm, a.shape)
-    )
-
-    def backward(grad):
-        a._accumulate_grad(grad[slices])
-
-    result = Tensor._from_op(data, (a,), backward, name="pad")
-    rec = _core._THREAD.hooks.recorder
-    if rec is not None:
-        ad, od = a.data, result.data
-        inner = od[slices]
-
-        def refresh():
-            # The pad region is constant since record; only the
-            # interior tracks the input.
-            inner[...] = ad
-
-        rec.run(refresh, reads=(ad,), writes=(od,))
-    return result
-
-
 def broadcast_to(a, shape):
     """Broadcast to ``shape``; backward sums over the broadcast axes."""
     from repro.tensor.ops import unbroadcast
@@ -224,70 +186,4 @@ def broadcast_to(a, shape):
             np.copyto(od, ad)
 
         rec.run(refresh, reads=(ad,), writes=(od,))
-    return result
-
-
-def squeeze(a, axis=None):
-    """Remove size-1 axes."""
-    a = as_tensor(a)
-    return reshape(a, np.squeeze(a.data, axis=axis).shape)
-
-
-def expand_dims(a, axis):
-    """Insert a size-1 axis at ``axis``."""
-    a = as_tensor(a)
-    return reshape(a, np.expand_dims(a.data, axis).shape)
-
-
-def flip(a, axis):
-    """Reverse along ``axis``."""
-    a = as_tensor(a)
-    data = np.flip(a.data, axis=axis)
-
-    def backward(grad):
-        a._accumulate_grad(np.flip(grad, axis=axis))
-
-    result = Tensor._from_op(data, (a,), backward, name="flip")
-    _record_view_or_copy(result, a, lambda ad: np.flip(ad, axis=axis))
-    return result
-
-
-def repeat_interleave(a, repeats, axis):
-    """Repeat each element ``repeats`` times along ``axis``."""
-    a = as_tensor(a)
-    data = np.repeat(a.data, repeats, axis=axis)
-
-    def backward(grad):
-        new_shape = list(a.shape)
-        new_shape[axis:axis + 1] = [a.shape[axis], repeats]
-        a._accumulate_grad(grad.reshape(new_shape).sum(axis=axis + 1))
-
-    result = Tensor._from_op(data, (a,), backward, name="repeat_interleave")
-    _record_view_or_copy(result, a, lambda ad: np.repeat(ad, repeats, axis=axis))
-    return result
-
-
-def tile(a, reps):
-    """Tile like ``numpy.tile`` (gradient folds the copies back)."""
-    from repro.tensor.ops import unbroadcast
-
-    a = as_tensor(a)
-    reps = tuple(reps) if np.iterable(reps) else (reps,)
-    data = np.tile(a.data, reps)
-
-    # Tiling is a broadcast of a reshaped input: fold the gradient by
-    # reshaping into (rep, dim) pairs and summing the rep axes.
-    full_reps = (1,) * (data.ndim - len(reps)) + reps
-    in_shape = (1,) * (data.ndim - a.ndim) + a.shape
-
-    def backward(grad):
-        shape = []
-        for rep, dim in zip(full_reps, in_shape):
-            shape.extend([rep, dim])
-        folded = grad.reshape(shape)
-        folded = folded.sum(axis=tuple(range(0, folded.ndim, 2)))
-        a._accumulate_grad(unbroadcast(folded, a.shape))
-
-    result = Tensor._from_op(data, (a,), backward, name="tile")
-    _record_view_or_copy(result, a, lambda ad: np.tile(ad, reps))
     return result

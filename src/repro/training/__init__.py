@@ -2,11 +2,7 @@
 
 from repro.training.history import History
 from repro.training.trainer import TrainConfig, Trainer
-from repro.training.uncertainty import (
-    ConformalForecaster,
-    ensemble_predict,
-    interval_coverage,
-)
+from repro.training.uncertainty import ConformalForecaster, interval_coverage
 from repro.training.checkpoint import (
     CheckpointCorruptError,
     CheckpointManager,
@@ -17,13 +13,11 @@ from repro.training.checkpoint import (
     verify_checkpoint,
 )
 from repro.training.sentinel import DivergenceError, DivergenceSentinel, SentinelEvent
-from repro.training.rollout import direct_vs_recursive_rmse, recursive_forecast
 
 __all__ = [
     "History", "TrainConfig", "Trainer",
-    "ConformalForecaster", "ensemble_predict", "interval_coverage",
+    "ConformalForecaster", "interval_coverage",
     "save_checkpoint", "load_checkpoint", "read_weights", "verify_checkpoint",
     "CheckpointCorruptError", "CheckpointManager", "find_latest_checkpoint",
     "DivergenceError", "DivergenceSentinel", "SentinelEvent",
-    "recursive_forecast", "direct_vs_recursive_rmse",
 ]

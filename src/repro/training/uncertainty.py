@@ -1,14 +1,11 @@
 """Predictive uncertainty for flow forecasts.
 
 The paper's related work points at uncertainty quantification for
-traffic forecasting (Qian et al., ICDE 2023); this module adds two
-standard, model-agnostic tools on top of any trained forecaster:
-
-- **Split conformal intervals** — calibrate a residual quantile on the
-  validation split; intervals carry a finite-sample marginal coverage
-  guarantee under exchangeability.
-- **Seed ensembles** — train the same architecture from several seeds
-  and use the spread as an epistemic-uncertainty signal.
+traffic forecasting (Qian et al., ICDE 2023); this module adds split
+conformal intervals, a standard model-agnostic tool, on top of any
+trained forecaster: calibrate a residual quantile on the validation
+split, and the intervals carry a finite-sample marginal coverage
+guarantee under exchangeability.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConformalForecaster", "ensemble_predict", "interval_coverage"]
+__all__ = ["ConformalForecaster", "interval_coverage"]
 
 
 @dataclass
@@ -80,15 +77,3 @@ def interval_coverage(intervals, truth):
     truth = np.asarray(truth)
     inside = (truth >= intervals.lower) & (truth <= intervals.upper)
     return float(inside.mean())
-
-
-def ensemble_predict(models, batch):
-    """Mean and std of scaled predictions across an ensemble.
-
-    ``models`` is any iterable of fitted forecasters implementing
-    ``predict(batch)``; returns ``(mean, std)`` arrays.
-    """
-    predictions = np.stack([model.predict(batch) for model in models])
-    if len(predictions) < 2:
-        raise ValueError("an ensemble needs at least two models")
-    return predictions.mean(axis=0), predictions.std(axis=0)

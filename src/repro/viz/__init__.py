@@ -1,10 +1,5 @@
 """Terminal visualization (no plotting libraries available offline)."""
 
-from repro.viz.text import (
-    heatmap,
-    histogram,
-    line_chart,
-    sparkline,
-)
+from repro.viz.text import heatmap, sparkline
 
-__all__ = ["sparkline", "line_chart", "heatmap", "histogram"]
+__all__ = ["sparkline", "heatmap"]

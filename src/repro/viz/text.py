@@ -2,15 +2,15 @@
 
 The offline environment has no plotting stack, so the figure runners
 and examples render their series and grids as Unicode charts: compact
-sparklines, multi-row line charts, shaded heatmaps, and histograms.
-Pure functions over numpy arrays; all return strings.
+sparklines and shaded heatmaps.  Pure functions over numpy arrays;
+both return strings.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sparkline", "line_chart", "heatmap", "histogram"]
+__all__ = ["sparkline", "heatmap"]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 _SHADE_LEVELS = " ░▒▓█"
@@ -44,48 +44,6 @@ def sparkline(values, low=None, high=None):
     return "".join(chars)
 
 
-def line_chart(series, height=8, width=None, labels=None):
-    """Multi-series ASCII line chart.
-
-    ``series`` is a dict ``{name: 1-D array}`` (or a single array).
-    Each series gets a distinct marker; a shared y-scale and a legend
-    are included.  ``width`` resamples long series to fit.
-    """
-    if isinstance(series, (list, np.ndarray)):
-        series = {"series": np.asarray(series)}
-    markers = "•xo+*#@"
-    arrays = {name: np.asarray(vals, dtype=float) for name, vals in series.items()}
-    if not arrays:
-        return "(no data)"
-    length = max(len(a) for a in arrays.values())
-    if width is not None and length > width:
-        def resample(a):
-            idx = np.linspace(0, len(a) - 1, width).round().astype(int)
-            return a[idx]
-        arrays = {name: resample(a) for name, a in arrays.items()}
-        length = width
-
-    low = min(float(np.nanmin(a)) for a in arrays.values())
-    high = max(float(np.nanmax(a)) for a in arrays.values())
-    grid = [[" "] * length for _ in range(height)]
-    for index, (name, values) in enumerate(arrays.items()):
-        marker = markers[index % len(markers)]
-        unit = _normalize(values, low, high)
-        for x, u in enumerate(unit):
-            if np.isnan(values[x]):
-                continue
-            y = height - 1 - int(round(u * (height - 1)))
-            grid[y][x] = marker
-    lines = [f"{high:10.2f} ┤" + "".join(grid[0])]
-    for row in grid[1:-1]:
-        lines.append(" " * 10 + " │" + "".join(row))
-    lines.append(f"{low:10.2f} ┤" + "".join(grid[-1]))
-    legend = "  ".join(
-        f"{markers[i % len(markers)]}={name}" for i, name in enumerate(arrays)
-    )
-    return "\n".join(lines) + "\n" + " " * 12 + legend
-
-
 def heatmap(matrix, low=None, high=None, row_labels=None):
     """Shaded-block rendering of a 2-D array.
 
@@ -101,16 +59,4 @@ def heatmap(matrix, low=None, high=None, row_labels=None):
         )
         label = f"{row_labels[r]:>8} " if row_labels is not None else ""
         lines.append(label + cells)
-    return "\n".join(lines)
-
-
-def histogram(values, bins=10, width=40):
-    """Horizontal bar histogram of a 1-D sample."""
-    values = np.asarray(values, dtype=float).ravel()
-    counts, edges = np.histogram(values, bins=bins)
-    top = counts.max() if counts.max() > 0 else 1
-    lines = []
-    for count, left, right in zip(counts, edges[:-1], edges[1:]):
-        bar = "█" * int(round(width * count / top))
-        lines.append(f"[{left:8.2f}, {right:8.2f}) {bar} {count}")
     return "\n".join(lines)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import MUSENet
-from repro.nn import Linear, Parameter, Sequential, ReLU
+from repro.nn import Linear, Module, Parameter
 from repro.optim import Adam
-from repro.tensor import Tensor
+from repro.tensor import Tensor, relu
 from repro.training import History, load_checkpoint, save_checkpoint
 from repro.training.checkpoint import _CHECKSUM_KEY, _payload_digest
 
@@ -26,9 +26,20 @@ def rewrite_archive(path, mutate):
     np.savez(path, **data)
 
 
+class SmallModel(Module):
+    """Linear -> relu -> Linear."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.hidden = Linear(4, 8, rng=rng)
+        self.out = Linear(8, 2, rng=rng)
+
+    def forward(self, x):
+        return self.out(relu(self.hidden(x)))
+
+
 def small_model():
-    rng = np.random.default_rng(0)
-    return Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
+    return SmallModel(np.random.default_rng(0))
 
 
 def take_steps(model, optimizer, steps, seed=0):

@@ -1,4 +1,4 @@
-"""Tests for conformal intervals and ensembles."""
+"""Tests for conformal intervals."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.training import (
     ConformalForecaster,
     TrainConfig,
     Trainer,
-    ensemble_predict,
     interval_coverage,
 )
 
@@ -55,19 +54,3 @@ class TestConformal:
         tight_width = (tight.upper - tight.lower).mean()
         wide_width = (wide.upper - wide.lower).mean()
         assert wide_width >= tight_width
-
-
-class TestEnsemble:
-    def test_mean_and_std_shapes(self, tiny_data, tiny_config):
-        from dataclasses import replace
-
-        models = [MUSENet(replace(tiny_config, seed=s)) for s in (0, 1, 2)]
-        mean, std = ensemble_predict(models, tiny_data.test)
-        assert mean.shape == tiny_data.test.target.shape
-        assert std.shape == mean.shape
-        assert np.all(std >= 0)
-        assert std.max() > 0  # different seeds disagree somewhere
-
-    def test_single_model_raises(self, tiny_data, tiny_config):
-        with pytest.raises(ValueError):
-            ensemble_predict([MUSENet(tiny_config)], tiny_data.test)

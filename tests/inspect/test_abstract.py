@@ -7,7 +7,9 @@ import numpy as np
 from repro.core.model import MuseConfig
 from repro.inspect import AbstractTensor, Interval, abstract_batch
 from repro.inspect.abstract import buffer_address
-from repro.inspect.intervals import TOP, propagate
+from repro.inspect.gradcov import gradcheck_cases
+from repro.inspect.intervals import _RULES, TOP, propagate
+from repro.profiling import profile
 from repro.tensor import Tensor
 
 
@@ -119,7 +121,17 @@ class TestTransferFunctions:
         assert th.lo >= -1.0 and th.hi <= 1.0
 
     def test_abs_and_sqrt(self):
-        out = propagate("abs", [Interval(-3.0, 2.0)])
-        assert out.lo == 0.0 and out.hi == 3.0
         root = propagate("sqrt", [Interval(4.0, 9.0)])
         assert root.lo == 2.0 and root.hi == 3.0
+
+    def test_rules_are_keyed_by_exactly_the_recorded_op_names(self):
+        # A rule fires only under the name an op records on the tape; a
+        # composite (swapaxes, flatten, split, ...) records the names of
+        # the ops it calls.  A key no op records is dead, and a recorded
+        # op without a rule widens to TOP.  `propagate` handles mul.
+        recorded = set()
+        for fn, inputs in gradcheck_cases().values():
+            with profile() as prof:
+                fn(inputs)
+            recorded |= set(prof.stats)
+        assert recorded == set(_RULES) | {"mul"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import Linear, Module, Parameter, Sequential
+from repro.nn import Linear, Module, ModuleList, Parameter
 
 
 class Tiny(Module):
@@ -48,29 +48,11 @@ class TestRegistration:
 
 class TestModes:
     def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2), nn.Dropout(0.5))
+        model = ModuleList([Linear(2, 2), Tiny()])
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
         assert all(m.training for m in model.modules())
-
-    def test_dropout_identity_in_eval(self):
-        layer = nn.Dropout(0.9, rng=np.random.default_rng(0))
-        layer.eval()
-        x = nn.Parameter(np.ones((4, 4)))
-        np.testing.assert_allclose(layer(x).data, x.data)
-
-    def test_dropout_scales_in_train(self):
-        layer = nn.Dropout(0.5, rng=np.random.default_rng(0))
-        x = nn.Parameter(np.ones((2000,)))
-        out = layer(x).data
-        # Inverted dropout keeps the expectation.
-        assert abs(out.mean() - 1.0) < 0.1
-        assert set(np.round(np.unique(out), 6)) <= {0.0, 2.0}
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
 
 
 class TestStateDict:

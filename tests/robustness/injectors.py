@@ -103,9 +103,9 @@ class FaultInjector:
             breakdown.total = breakdown.total * float("nan")
         if step in self.nan_grad_steps:
             weight = self._model.parameters()[0]
-            # relu(-|w|) is exactly 0, so sqrt's backward divides by
+            # relu(-w*w) is exactly 0, so sqrt's backward divides by
             # zero: 0-valued forward, NaN deposited into the gradient.
-            zero_term = (-weight.abs()).relu().sqrt().sum() * 0.0
+            zero_term = (-(weight * weight)).relu().sqrt().sum() * 0.0
             breakdown.total = breakdown.total + zero_term
         factor = self.scale_loss_steps.get(step)
         if factor is not None:

@@ -82,11 +82,6 @@ class TestNumericalStability:
         out = softmax(x)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0)
 
-    def test_log_of_softplus_stable(self):
-        x = Tensor(np.array([-50.0, 0.0, 50.0]))
-        out = T.log(T.softplus(x) + 1e-12)
-        assert np.all(np.isfinite(out.data))
-
     def test_division_gradient_large_denominator(self):
         check_gradients(
             lambda t: (t[0] / 1e8).sum() * 1e8,

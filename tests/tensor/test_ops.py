@@ -45,35 +45,11 @@ class TestBinaryOps:
         np.testing.assert_allclose((3 + x).data, [5.0])
         np.testing.assert_allclose((3 * x).data, [6.0])
 
-    def test_maximum_grad_goes_to_larger(self):
-        a = Tensor([1.0, 5.0], requires_grad=True)
-        b = Tensor([2.0, 3.0], requires_grad=True)
-        T.maximum(a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [0.0, 1.0])
-        np.testing.assert_allclose(b.grad, [1.0, 0.0])
-
-    def test_minimum_grad_goes_to_smaller(self):
-        a = Tensor([1.0, 5.0], requires_grad=True)
-        b = Tensor([2.0, 3.0], requires_grad=True)
-        T.minimum(a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])
-
-    def test_where(self):
-        cond = np.array([True, False, True])
-        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        b = Tensor([10.0, 20.0, 30.0], requires_grad=True)
-        out = T.where(cond, a, b)
-        np.testing.assert_allclose(out.data, [1.0, 20.0, 3.0])
-        out.sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0, 1.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
-
 
 class TestUnaryOps:
     @pytest.mark.parametrize(
         "op",
-        [T.neg, T.exp, T.tanh, T.sigmoid, T.softplus, T.abs_],
+        [T.neg, T.exp, T.tanh, T.sigmoid],
     )
     def test_grad(self, op):
         check_gradients(lambda t: op(t[0]).sum(), [rand(3, 4)])
@@ -96,29 +72,11 @@ class TestUnaryOps:
         T.relu(x).sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 1.0])
 
-    def test_leaky_relu(self):
-        x = Tensor([-2.0, 2.0], requires_grad=True)
-        out = T.leaky_relu(x, negative_slope=0.1)
-        np.testing.assert_allclose(out.data, [-0.2, 2.0])
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, [0.1, 1.0])
-
     def test_sigmoid_extreme_values_stable(self):
         x = Tensor([-500.0, 500.0])
         out = T.sigmoid(x)
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
-
-    def test_softplus_extreme_values_stable(self):
-        x = Tensor([-500.0, 500.0])
-        out = T.softplus(x)
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data, [0.0, 500.0], atol=1e-12)
-
-    def test_clip_grad_zero_outside(self):
-        x = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
-        T.clip(x, -1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
 
 class TestUnbroadcast:

@@ -31,9 +31,6 @@ class TestReductions:
         T.max_(x, axis=1).sum().backward()
         np.testing.assert_allclose(x.grad, [[0.5, 0.5, 0.0]])
 
-    def test_min(self):
-        check_gradients(lambda t: T.min_(t[0], axis=1).sum(), [rand(3, 5)])
-
     def test_var_matches_numpy(self):
         x = rand(4, 6)
         np.testing.assert_allclose(T.var(x, axis=1).data, x.data.var(axis=1), rtol=1e-10)
@@ -115,34 +112,8 @@ class TestShapeOps:
         expected[2] = 1.0
         np.testing.assert_allclose(x.grad, expected)
 
-    def test_pad_grad(self):
-        check_gradients(lambda t: T.pad(t[0], ((1, 1), (0, 2))).tanh().sum(), [rand(3, 4)])
-
-    def test_pad_values(self):
-        x = Tensor(np.ones((2, 2)))
-        out = T.pad(x, ((1, 0), (0, 0)), value=5.0)
-        np.testing.assert_allclose(out.data[0], [5.0, 5.0])
-
     def test_broadcast_to_grad(self):
         check_gradients(lambda t: T.broadcast_to(t[0], (4, 3, 2)).tanh().sum(), [rand(3, 2)])
-
-    def test_squeeze_expand(self):
-        x = rand(1, 3, 1)
-        assert T.squeeze(x).shape == (3,)
-        assert T.expand_dims(rand(3), 0).shape == (1, 3)
-
-    def test_flip_grad(self):
-        check_gradients(lambda t: T.flip(t[0], axis=1).tanh().sum(), [rand(3, 4)])
-
-    def test_repeat_interleave_grad(self):
-        check_gradients(lambda t: T.repeat_interleave(t[0], 3, axis=1).tanh().sum(), [rand(2, 4)])
-
-    def test_tile_grad(self):
-        check_gradients(lambda t: T.tile(t[0], (2, 3)).tanh().sum(), [rand(2, 4)])
-
-    def test_tile_adds_axes(self):
-        x = rand(3)
-        assert T.tile(x, (2, 2)).shape == (2, 6)
 
 
 class TestMatmul:
@@ -160,17 +131,6 @@ class TestMatmul:
 
     def test_vector_lhs(self):
         check_gradients(lambda t: (t[0] @ t[1]).tanh().sum(), [rand(4), rand(4, 5)])
-
-    def test_dot(self):
-        check_gradients(lambda t: T.dot(t[0], t[1]).tanh(), [rand(5), rand(5)])
-
-    def test_dot_rejects_matrices(self):
-        with pytest.raises(ValueError):
-            T.dot(rand(2, 2), rand(2))
-
-    def test_outer(self):
-        a, b = rand(3), rand(4)
-        np.testing.assert_allclose(T.outer(a, b).data, np.outer(a.data, b.data))
 
 
 class TestConv:
@@ -197,12 +157,6 @@ class TestConv:
     def test_conv2d_output_shape(self):
         out = T.conv2d(rand(2, 3, 10, 20), rand(8, 3, 3, 3), padding=1)
         assert out.shape == (2, 8, 10, 20)
-
-    def test_avg_pool_grad(self):
-        check_gradients(lambda t: T.avg_pool2d(t[0], 2).tanh().sum(), [rand(2, 3, 4, 6)])
-
-    def test_max_pool_grad(self):
-        check_gradients(lambda t: T.max_pool2d(t[0], 2).tanh().sum(), [rand(2, 3, 4, 6)])
 
     def test_global_avg_pool(self):
         x = rand(2, 3, 4, 5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.viz import heatmap, histogram, line_chart, sparkline
+from repro.viz import heatmap, sparkline
 
 
 class TestSparkline:
@@ -30,31 +30,6 @@ class TestSparkline:
         assert len(sparkline(np.arange(17))) == 17
 
 
-class TestLineChart:
-    def test_contains_extremes_and_legend(self):
-        chart = line_chart({"a": [0.0, 5.0, 10.0]}, height=5)
-        assert "10.00" in chart
-        assert "0.00" in chart
-        assert "a" in chart
-
-    def test_accepts_plain_array(self):
-        chart = line_chart(np.array([1.0, 2.0, 3.0]))
-        assert "series" in chart
-
-    def test_multiple_series_distinct_markers(self):
-        chart = line_chart({"up": [0, 1, 2], "down": [2, 1, 0]}, height=4)
-        assert "•" in chart
-        assert "x" in chart
-
-    def test_width_resamples(self):
-        chart = line_chart({"long": np.arange(500)}, height=4, width=40)
-        longest = max(len(line) for line in chart.splitlines())
-        assert longest < 70
-
-    def test_empty_dict(self):
-        assert line_chart({}) == "(no data)"
-
-
 class TestHeatmap:
     def test_extremes_use_extreme_shades(self):
         out = heatmap(np.array([[0.0, 1.0]]))
@@ -71,19 +46,3 @@ class TestHeatmap:
     def test_constant_matrix(self):
         out = heatmap(np.ones((2, 2)))
         assert set("".join(out.splitlines())) <= {" "}
-
-
-class TestHistogram:
-    def test_counts_sum(self):
-        values = np.random.default_rng(0).standard_normal(100)
-        out = histogram(values, bins=5)
-        counts = [int(line.rsplit(" ", 1)[-1]) for line in out.splitlines()]
-        assert sum(counts) == 100
-
-    def test_bin_count(self):
-        out = histogram(np.arange(10), bins=4)
-        assert len(out.splitlines()) == 4
-
-    def test_empty_bins_have_no_bar(self):
-        out = histogram(np.array([0.0, 0.0, 10.0]), bins=10)
-        assert any("█" not in line for line in out.splitlines())
