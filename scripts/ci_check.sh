@@ -87,6 +87,11 @@ stage "replica-pool smoke (2 replicas)"
 # if served rows differ from the offline forward by more than 1e-12.
 run python -m repro serve MUSE-Net --profile ci --replicas 2 \
     --requests 64 --concurrency 8
+# The same gate with the autoscaler on: the CLI builds the AutoScaler
+# from --min/--max-replicas, starts its driver thread and joins it on
+# close.
+run python -m repro serve MUSE-Net --profile ci --replicas 1 \
+    --min-replicas 1 --max-replicas 2 --requests 64 --concurrency 8
 
 stage "compiled paths smoke"
 # Both graph compilers through the real CLI: compiled serving forwards

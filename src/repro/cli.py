@@ -276,7 +276,6 @@ def _cmd_serve(args):
     serve_config = ServeConfig(max_batch=args.max_batch,
                                max_wait_ms=args.max_wait_ms,
                                replicas=args.replicas,
-                               blas_threads=args.blas_threads,
                                compile=getattr(args, "compile", False),
                                min_replicas=getattr(args, "min_replicas", 0),
                                max_replicas=getattr(args, "max_replicas", 0))
@@ -627,8 +626,6 @@ def build_parser():
     p.add_argument("--max-replicas", type=int, default=0,
                    help="autoscaler upper bound (requires --replicas >= 1 "
                         "as the starting size; 0 = autoscaling off)")
-    p.add_argument("--blas-threads", type=int, default=1,
-                   help="BLAS thread cap inside each replica (default: 1)")
     p.add_argument("--listen", default=None, metavar="HOST:PORT",
                    help="serve over a socket instead of replaying: bind "
                         "the asyncio front-end on HOST:PORT (port 0 = "

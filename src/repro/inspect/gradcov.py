@@ -58,13 +58,18 @@ def _pos(*shape, seed=0):
     return _t(*shape, low=0.5, high=2.0, seed=seed)
 
 
-def _spread(*shape, seed=0):
-    """Values with pairwise gaps: no ties for max."""
+def _spread(*shape, seed=0, shift=0):
+    """Values with pairwise gaps: no ties for max.
+
+    Each value sits 0.1-0.4 above a distinct integer, plus the integer
+    ``shift``; so no value lies within 0.1 of 0 (relu's kink).
+    """
     from repro.tensor import Tensor
 
     rng = np.random.default_rng(seed)
     size = int(np.prod(shape))
-    values = np.arange(size, dtype=np.float64) + rng.uniform(0.1, 0.4, size)
+    values = (np.arange(size, dtype=np.float64) + shift
+              + rng.uniform(0.1, 0.4, size))
     rng.shuffle(values)
     return Tensor(values.reshape(shape))
 
@@ -101,7 +106,8 @@ def gradcheck_cases():
         "sqrt": (lambda ts: ts[0].sqrt().sum(), [_pos(3, 4)]),
         "tanh": (lambda ts: ts[0].tanh().sum(), [_t(3, 4)]),
         "sigmoid": (lambda ts: ts[0].sigmoid().sum(), [_t(3, 4)]),
-        "relu": (lambda ts: ts[0].relu().sum(), [_spread(3, 4)]),
+        # Six values on each side of 0: both branches of the mask.
+        "relu": (lambda ts: ts[0].relu().sum(), [_spread(3, 4, shift=-6)]),
         # reductions.py -----------------------------------------------
         "sum_": (lambda ts: ts[0].sum(axis=1).sum(), [_t(3, 4)]),
         "mean": (lambda ts: ts[0].mean(axis=0).sum(), [_t(3, 4)]),

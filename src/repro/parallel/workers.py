@@ -75,7 +75,7 @@ class SharedParams:
         if len(dtypes) != 1:
             raise ValueError(
                 f"forked workers need a uniform parameter dtype; got "
-                f"{sorted(str(d) for d in dtypes)} (use Trainer(dtype=...))")
+                f"{sorted(str(d) for d in dtypes)} (set TrainConfig(dtype=...))")
         self.dtype = dtypes.pop()
         self.offsets = []
         total = 0
@@ -168,16 +168,16 @@ class WorkerSet:
     setup:
         Optional callable run once in each child before it reports
         ``ready`` (e.g. ``model.train``).
-    blas_threads:
-        BLAS thread cap inside each child (the children are the
-        parallelism).
+
+    Each child caps BLAS at one thread: the children are the
+    parallelism.
 
     Rounds, scaling and close are safe to call from different threads;
     they serialise on the set's lock, and the fork runs with no lock
     held.
     """
 
-    def __init__(self, handle, kind, setup=None, blas_threads=1):
+    def __init__(self, handle, kind, setup=None):
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "forked workers need the 'fork' start method (POSIX); run "
@@ -185,7 +185,6 @@ class WorkerSet:
         self._handle = handle
         self._kind = kind
         self._setup = setup
-        self._blas_threads = int(blas_threads)
         self._lock = sanitizer.create_lock("WorkerSet._lock")
         self._live = []
         self._closed = False
@@ -311,7 +310,7 @@ class WorkerSet:
         # Parent-process instrumentation has no meaning in the child.
         _tensor_core._clear_hooks_in_child()
         try:
-            blas_mode = limit_blas_threads(self._blas_threads)
+            blas_mode = limit_blas_threads(1)
             if self._setup is not None:
                 self._setup()
             reply = ("ready", blas_mode)

@@ -25,7 +25,7 @@ offline training.  This package serves that traffic:
   scaling between configured bounds, with hysteresis and cooldown.
 """
 
-from repro.serve.autoscale import AutoScaleConfig, AutoScaler
+from repro.serve.autoscale import AutoScaler
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import WindowCache
 from repro.serve.frontend import ForecastClient, SocketFrontend
@@ -37,5 +37,5 @@ from repro.serve.stats import LatencyStats
 __all__ = [
     "ForecastServer", "ServeConfig", "MicroBatcher", "WindowCache",
     "ReplicaPool", "LatencyStats", "ForecastCache", "SocketFrontend",
-    "ForecastClient", "AutoScaler", "AutoScaleConfig",
+    "ForecastClient", "AutoScaler",
 ]

@@ -18,12 +18,12 @@ parameter state and therefore can never tear a generation
 Either signal above its high threshold is *pressure*; both below their
 low thresholds is *slack*.  Two guards keep the loop from flapping:
 
-- **hysteresis** — a decision needs ``patience`` *consecutive*
+- **hysteresis** — a decision needs :data:`PATIENCE` *consecutive*
   pressure (or slack) observations; a single bursty sample scales
   nothing;
 - **cooldown** — after any scale event the scaler sits out
-  ``cooldown_s`` so the new capacity's effect shows up in the signals
-  before the next decision.
+  :data:`COOLDOWN_S` so the new capacity's effect shows up in the
+  signals before the next decision.
 
 Scaling moves one replica at a time within ``[min_replicas,
 max_replicas]``.  Every decision is observable: scale events (with
@@ -33,7 +33,7 @@ event log, surfaced through ``ForecastServer.snapshot()["autoscaler"]``.
 The policy is deliberately separated from the clock: :meth:`step` takes
 one observation and maybe acts — tests drive it synchronously with
 fabricated signals — while :meth:`start` merely runs ``step`` on a
-daemon thread every ``interval_s``.
+daemon thread every :data:`INTERVAL_S`.
 """
 
 from __future__ import annotations
@@ -44,76 +44,25 @@ from time import perf_counter
 
 from repro.inspect import sanitizer
 
-__all__ = ["AutoScaler", "AutoScaleConfig"]
+__all__ = ["AutoScaler"]
 
 #: Bounded scale-event log (telemetry, not an audit trail).
 _EVENT_LOG = 64
 
-
-class AutoScaleConfig:
-    """Autoscaling policy knobs (validated once, then read-only use).
-
-    Parameters
-    ----------
-    min_replicas / max_replicas:
-        Inclusive replica-count bounds; the scaler never leaves them.
-    high_queue_depth:
-        Queued requests at or above this count pressure scale-up.
-    high_wait_ms / low_wait_ms:
-        Recent mean queue wait above ``high_wait_ms`` is pressure;
-        below ``low_wait_ms`` (with an empty-enough queue) is slack.
-    patience:
-        Consecutive pressured (or slack) observations required before
-        acting — the hysteresis guard.
-    cooldown_s:
-        Seconds after a scale event during which no decision is taken.
-    interval_s:
-        Background observation period for :meth:`AutoScaler.start`.
-    """
-
-    def __init__(self, min_replicas=1, max_replicas=4, *,
-                 high_queue_depth=8, high_wait_ms=50.0, low_wait_ms=5.0,
-                 patience=3, cooldown_s=10.0, interval_s=1.0):
-        if min_replicas < 1:
-            raise ValueError(
-                f"min_replicas must be >= 1; got {min_replicas}")
-        if max_replicas < min_replicas:
-            raise ValueError(
-                f"max_replicas ({max_replicas}) must be >= min_replicas "
-                f"({min_replicas})")
-        if high_queue_depth < 1:
-            raise ValueError(
-                f"high_queue_depth must be >= 1; got {high_queue_depth}")
-        if low_wait_ms < 0 or high_wait_ms <= low_wait_ms:
-            raise ValueError(
-                f"need 0 <= low_wait_ms < high_wait_ms; got "
-                f"low={low_wait_ms}, high={high_wait_ms}")
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1; got {patience}")
-        if cooldown_s < 0:
-            raise ValueError(f"cooldown_s must be >= 0; got {cooldown_s}")
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0; got {interval_s}")
-        self.min_replicas = int(min_replicas)
-        self.max_replicas = int(max_replicas)
-        self.high_queue_depth = int(high_queue_depth)
-        self.high_wait_ms = float(high_wait_ms)
-        self.low_wait_ms = float(low_wait_ms)
-        self.patience = int(patience)
-        self.cooldown_s = float(cooldown_s)
-        self.interval_s = float(interval_s)
-
-    def as_dict(self):
-        return {
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "high_queue_depth": self.high_queue_depth,
-            "high_wait_ms": self.high_wait_ms,
-            "low_wait_ms": self.low_wait_ms,
-            "patience": self.patience,
-            "cooldown_s": self.cooldown_s,
-            "interval_s": self.interval_s,
-        }
+#: Queued requests at or above this count are pressure.
+HIGH_QUEUE_DEPTH = 8
+#: Recent mean queue wait (ms) at or above this is pressure.
+HIGH_WAIT_MS = 50.0
+#: Recent mean queue wait (ms) at or below this, with an empty queue,
+#: is slack.
+LOW_WAIT_MS = 5.0
+#: Consecutive pressured (or slack) observations before acting — the
+#: hysteresis guard.
+PATIENCE = 3
+#: Seconds after a scale event during which no decision is taken.
+COOLDOWN_S = 10.0
+#: Background observation period of :meth:`AutoScaler.start`.
+INTERVAL_S = 1.0
 
 
 class AutoScaler:
@@ -127,13 +76,15 @@ class AutoScaler:
         None), ``replica_count`` (int), and ``scale_replicas(n) -> int``
         — :class:`~repro.serve.server.ForecastServer` in production, a
         stub in the policy tests.
-    config:
-        An :class:`AutoScaleConfig`.
+    min_replicas / max_replicas:
+        Inclusive replica-count bounds; the scaler never leaves them.
+        :class:`~repro.serve.server.ServeConfig` validates them.
     """
 
-    def __init__(self, server, config: AutoScaleConfig):
+    def __init__(self, server, min_replicas, max_replicas):
         self._server = server
-        self.config = config
+        self.min_replicas = int(min_replicas)
+        self.max_replicas = int(max_replicas)
         self._lock = sanitizer.create_lock("AutoScaler._lock")
         self._pressure_streak = 0
         self._slack_streak = 0
@@ -158,11 +109,9 @@ class AutoScaler:
         depth = int(self._server.queue_depth)
         wait_ms = self._server.recent_queue_wait_ms()
         replicas = int(self._server.replica_count)
-        cfg = self.config
-        pressured = depth >= cfg.high_queue_depth or (
-            wait_ms is not None and wait_ms >= cfg.high_wait_ms)
-        slack = depth == 0 and (
-            wait_ms is None or wait_ms <= cfg.low_wait_ms)
+        pressured = depth >= HIGH_QUEUE_DEPTH or (
+            wait_ms is not None and wait_ms >= HIGH_WAIT_MS)
+        slack = depth == 0 and (wait_ms is None or wait_ms <= LOW_WAIT_MS)
         with self._lock:
             self._observations += 1
             if pressured:
@@ -176,11 +125,11 @@ class AutoScaler:
                 self._slack_streak = 0
             if now < self._cooldown_until:
                 return 0
-            if self._pressure_streak >= cfg.patience \
-                    and replicas < cfg.max_replicas:
+            if self._pressure_streak >= PATIENCE \
+                    and replicas < self.max_replicas:
                 target, direction = replicas + 1, +1
-            elif self._slack_streak >= cfg.patience \
-                    and replicas > cfg.min_replicas:
+            elif self._slack_streak >= PATIENCE \
+                    and replicas > self.min_replicas:
                 target, direction = replicas - 1, -1
             else:
                 return 0
@@ -188,7 +137,7 @@ class AutoScaler:
             # call itself runs outside it (it forks / joins processes).
             self._pressure_streak = 0
             self._slack_streak = 0
-            self._cooldown_until = now + cfg.cooldown_s
+            self._cooldown_until = now + COOLDOWN_S
         achieved = self._server.scale_replicas(target)
         with self._lock:
             if direction > 0:
@@ -208,7 +157,7 @@ class AutoScaler:
     # Background driver
     # ------------------------------------------------------------------
     def start(self):
-        """Run :meth:`step` every ``interval_s`` on a daemon thread."""
+        """Run :meth:`step` every :data:`INTERVAL_S` on a daemon thread."""
         if self._thread is not None:
             raise RuntimeError("autoscaler already started")
         self._thread = sanitizer.create_thread(
@@ -217,7 +166,7 @@ class AutoScaler:
         return self
 
     def _run(self):
-        while not self._stop.wait(self.config.interval_s):
+        while not self._stop.wait(INTERVAL_S):
             try:
                 self.step()
             except RuntimeError:
@@ -231,7 +180,7 @@ class AutoScaler:
         self._stop.set()
         if self._thread is not None:
             sanitizer.join_thread(self._thread,
-                                  timeout=self.config.interval_s + 10.0,
+                                  timeout=INTERVAL_S + 10.0,
                                   what="autoscaler driver")
             self._thread = None
 
@@ -247,7 +196,16 @@ class AutoScaler:
         """JSON-able policy state + bounded scale-event log."""
         with self._lock:
             return {
-                "config": self.config.as_dict(),
+                "config": {
+                    "min_replicas": self.min_replicas,
+                    "max_replicas": self.max_replicas,
+                    "high_queue_depth": HIGH_QUEUE_DEPTH,
+                    "high_wait_ms": HIGH_WAIT_MS,
+                    "low_wait_ms": LOW_WAIT_MS,
+                    "patience": PATIENCE,
+                    "cooldown_s": COOLDOWN_S,
+                    "interval_s": INTERVAL_S,
+                },
                 "observations": self._observations,
                 "pressure_streak": self._pressure_streak,
                 "slack_streak": self._slack_streak,

@@ -57,13 +57,11 @@ class ReplicaPool:
         Number of forked replica processes to start with (>= 1).
     max_batch:
         Capacity of the shared request slot (the batcher's cap).
-    blas_threads:
-        BLAS thread cap inside each replica (default 1; the replicas
-        are the parallelism).
+
+    Each replica caps BLAS at one thread (:class:`WorkerSet`).
     """
 
-    def __init__(self, model, template: SampleBatch, replicas, max_batch,
-                 blas_threads=1):
+    def __init__(self, model, template: SampleBatch, replicas, max_batch):
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1; got {replicas}")
         if max_batch < 1:
@@ -74,7 +72,7 @@ class ReplicaPool:
         self._template = template
         self._shared = SharedParams(model.parameters())
         self._workers = WorkerSet(self._serve_shard, "replica",
-                                  setup=model.eval, blas_threads=blas_threads)
+                                  setup=model.eval)
         self._lock = sanitizer.create_lock("ReplicaPool._lock")
         self._io_block = None
         self._started = False

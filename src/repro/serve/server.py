@@ -61,7 +61,6 @@ class ServeConfig:
     max_batch: int = 32      # samples coalesced per forward
     max_wait_ms: float = 2.0  # batching window after the first request
     replicas: int = 0        # forked replicas; 0 = in-process forwards
-    blas_threads: int = 1    # BLAS cap inside each replica
     # Graph-compiled forwards (repro.compile.ForwardCompiler): record
     # predict once per coalesced batch size, replay a fused tape-free
     # kernel schedule against a liveness-packed arena.  In-process only
@@ -88,9 +87,6 @@ class ServeConfig:
                 f"max_wait_ms must be >= 0; got {self.max_wait_ms}")
         if self.replicas < 0:
             raise ValueError(f"replicas must be >= 0; got {self.replicas}")
-        if self.blas_threads < 1:
-            raise ValueError(
-                f"blas_threads must be >= 1; got {self.blas_threads}")
         if self.compile and self.replicas >= 1:
             raise ValueError(
                 "compile=True requires replicas=0: compiled forwards "
@@ -204,18 +200,17 @@ class ForecastServer:
 
             self._pool = ReplicaPool(
                 self.model, self._template, self.config.replicas,
-                self.config.max_batch,
-                blas_threads=self.config.blas_threads).start()
+                self.config.max_batch).start()
         self._batcher = MicroBatcher(
             self._forward, max_batch=self.config.max_batch,
             max_wait_ms=self.config.max_wait_ms,
             on_batch=self.stats.record_batch)
         if self.config.max_replicas > 0:
-            from repro.serve.autoscale import AutoScaleConfig, AutoScaler
+            from repro.serve.autoscale import AutoScaler
 
-            self.autoscaler = AutoScaler(self, AutoScaleConfig(
-                min_replicas=self.config.min_replicas,
-                max_replicas=self.config.max_replicas)).start()
+            self.autoscaler = AutoScaler(
+                self, self.config.min_replicas,
+                self.config.max_replicas).start()
         self.stats.reset_clock()
         return self
 

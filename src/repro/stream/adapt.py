@@ -11,7 +11,7 @@ The candidate trains on a *copy* built by ``model_factory`` — the
 serving model keeps answering (from the fallback ladder) for the whole
 retrain.  Before any swap, the candidate must clear a validation gate:
 its RMSE on the held-out tail of the rolling window must not be worse
-than ``gate_factor`` times the serving model's on the same tail.  A
+than :data:`GATE_FACTOR` times the serving model's on the same tail.  A
 failed gate, a diverged fit (the trainer's sentinel runs in ``raise``
 mode), or a checkpoint/swap error all raise :class:`AdaptationError`;
 the caller degrades gracefully instead of installing a bad model.
@@ -43,48 +43,43 @@ class AdaptationError(RuntimeError):
     """Warm re-training failed; the serving model must not be swapped."""
 
 
+#: Nominal epochs of a retrain (the step budget cuts them off).
+EPOCHS = 50
+BATCH_SIZE = 8
+#: Held-out share of the rolling window.
+VAL_FRACTION = 0.25
+#: Drift-to-retrain delay: the runtime retrains while applying the
+#: FRESH_TICKS-th tick, counting the one that confirmed the drift, so
+#: the rolling window actually contains new-regime samples to fit on
+#: (the fallback ladder answers in the meantime).
+FRESH_TICKS = 12
+#: Recency oversampling: the newest RECENT_SPAN training targets are
+#: repeated ``recent_boost`` times, so a dozen fresh post-shift samples
+#: are not drowned out by a hundred stale ones.
+RECENT_SPAN = 16
+#: Swap gate: candidate val RMSE must be <= GATE_FACTOR x the serving
+#: model's val RMSE.  > 1 tolerates a little noise — the point is
+#: rejecting candidates that are *worse*, not demanding improvement a
+#: 60-step budget may not deliver.
+GATE_FACTOR = 1.05
+
+
 @dataclass
 class AdaptationConfig:
     """Knobs of the bounded warm-restart fit (docs/streaming.md)."""
 
     step_budget: int = 60     # hard cap on optimizer steps per retrain
-    epochs: int = 50          # nominal epochs (the budget cuts them off)
-    batch_size: int = 8
     lr: float = 1e-3
-    val_fraction: float = 0.25  # held-out share of the rolling window
-    # Drift-to-retrain delay: wait this many ticks after confirmation
-    # so the rolling window actually contains new-regime samples to
-    # fit on (the fallback ladder answers in the meantime).
-    fresh_ticks: int = 12
-    # Recency oversampling: the newest `recent_span` training targets
-    # are repeated `recent_boost` times, so a dozen fresh post-shift
-    # samples are not drowned out by a hundred stale ones.
-    recent_span: int = 16
-    recent_boost: int = 4
-    # Swap gate: candidate val RMSE must be <= gate_factor x the
-    # serving model's val RMSE.  > 1 tolerates a little noise — the
-    # point is rejecting candidates that are *worse*, not demanding
-    # improvement a 60-step budget may not deliver.
-    gate_factor: float = 1.05
+    recent_boost: int = 4     # repeats of the newest RECENT_SPAN targets
     seed: int = 0
 
     def __post_init__(self):
         if self.step_budget < 1:
             raise ValueError(
                 f"step_budget must be >= 1; got {self.step_budget}")
-        if not 0.0 < self.val_fraction < 1.0:
+        if self.recent_boost < 1:
             raise ValueError(
-                f"val_fraction must be in (0, 1); got {self.val_fraction}")
-        if self.gate_factor <= 0:
-            raise ValueError(
-                f"gate_factor must be > 0; got {self.gate_factor}")
-        if self.fresh_ticks < 0:
-            raise ValueError(
-                f"fresh_ticks must be >= 0; got {self.fresh_ticks}")
-        if self.recent_span < 0 or self.recent_boost < 1:
-            raise ValueError(
-                "recent_span must be >= 0 and recent_boost >= 1; got "
-                f"{self.recent_span}, {self.recent_boost}")
+                f"recent_boost must be >= 1; got {self.recent_boost}")
 
 
 def _model_val_rmse(model, data):
@@ -107,10 +102,10 @@ def prepare_rolling_data(frames, scaler, periodicity, val_fraction=0.25,
     not taken from the tail: after a drift, the tail is exactly where
     the only new-regime samples live, and a tail-only val split would
     hide them all from training.  ``recent_span``/``recent_boost``
-    oversample the newest training targets (see
-    :class:`AdaptationConfig`).  Returns a :class:`ForecastData` with
-    an empty test split; its ``dataset`` is ``None`` — a rolling
-    window has no backing :class:`~repro.data.datasets.TrafficDataset`.
+    oversample the newest training targets (see :data:`RECENT_SPAN`).
+    Returns a :class:`ForecastData` with an empty test split; its
+    ``dataset`` is ``None`` — a rolling window has no backing
+    :class:`~repro.data.datasets.TrafficDataset`.
     """
     frames = np.asarray(frames, dtype=np.float64)
     first = periodicity.min_index
@@ -150,14 +145,14 @@ def warm_retrain(serving_model, model_factory, frames, scaler, periodicity,
     config = config if config is not None else AdaptationConfig()
     scaler.update(frames)
     data = prepare_rolling_data(frames, scaler, periodicity,
-                                val_fraction=config.val_fraction,
-                                recent_span=config.recent_span,
+                                val_fraction=VAL_FRACTION,
+                                recent_span=RECENT_SPAN,
                                 recent_boost=config.recent_boost)
 
     candidate = model_factory()
     candidate.load_state_dict(serving_model.state_dict())
     trainer = Trainer(candidate, TrainConfig(
-        epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
+        epochs=EPOCHS, batch_size=BATCH_SIZE, lr=config.lr,
         max_steps=config.step_budget, sentinel="raise", seed=config.seed,
     ))
     try:
@@ -170,10 +165,10 @@ def warm_retrain(serving_model, model_factory, frames, scaler, periodicity,
     if not np.isfinite(candidate_rmse):
         raise AdaptationError(
             f"candidate validation RMSE is non-finite ({candidate_rmse})")
-    if candidate_rmse > config.gate_factor * serving_rmse:
+    if candidate_rmse > GATE_FACTOR * serving_rmse:
         raise AdaptationError(
             f"candidate failed the swap gate: val RMSE {candidate_rmse:.4f} "
-            f"> {config.gate_factor:g} x serving {serving_rmse:.4f}")
+            f"> {GATE_FACTOR:g} x serving {serving_rmse:.4f}")
 
     if checkpoint_path is None:
         raise AdaptationError("no checkpoint path configured for the swap")

@@ -41,6 +41,7 @@ from repro.data.windows import SampleBatch
 from repro.metrics import rmse
 from repro.serve.cache import WindowCache
 from repro.serve.server import ForecastServer, ServeConfig
+from repro.stream import adapt as adaptation
 from repro.stream.adapt import AdaptationConfig, AdaptationError, warm_retrain
 from repro.stream.degrade import StreamingHistoricalAverage, StreamingPersistence
 from repro.stream.drift import DriftSentinel
@@ -52,55 +53,27 @@ __all__ = ["ForecastResult", "StreamConfig", "StreamRuntime"]
 # Failure-reason audit log bound (same discipline as the quarantine).
 _MAX_FAILURE_RECORDS = 64
 
+#: Rolling raw-frame window the warm retrain fits on.
+HISTORY = 512
+#: Ticks between retries after a failed adaptation.
+ADAPT_RETRY = 8
+# Post-swap probation: the next PROBATION_TICKS scored errors must
+# average within RECOVERY_FACTOR x the pre-drift baseline, else another
+# adaptation round fires — up to MAX_ADAPT_ROUNDS per drift event.  One
+# bounded retrain often under-corrects on a window still dominated by
+# the old regime; probation iterates until the held-out error
+# statistics actually recover.
+RECOVERY_FACTOR = 1.2
+PROBATION_TICKS = 10
+MAX_ADAPT_ROUNDS = 3
+
 
 @dataclass
 class StreamConfig:
     """Streaming runtime knobs (docs/streaming.md)."""
 
-    watermark: int = 4          # reorder tolerance, intervals
-    history: int = 512          # rolling raw-frame window (retrain data)
-    # Weights older than this many ticks are served through the
-    # fallback ladder with reason "stale".  None disables the check —
-    # a model only goes stale relative to drift, which the sentinel
-    # already watches.
-    staleness_limit: int | None = None
     auto_adapt: bool = True     # retrain + swap on confirmed drift
-    adapt_retry: int = 8        # ticks between retries after a failure
-    # Post-swap probation: the next `probation_ticks` scored errors
-    # must average within `recovery_factor` x the pre-drift baseline,
-    # else another adaptation round fires — up to `max_adapt_rounds`
-    # per drift event.  One bounded retrain often under-corrects on a
-    # window still dominated by the old regime; probation iterates
-    # until the held-out error statistics actually recover.
-    recovery_factor: float = 1.2
-    probation_ticks: int = 10
-    max_adapt_rounds: int = 3
-    # Drift sentinel knobs (see repro.stream.drift for semantics).
-    drift_beta: float = 0.98
-    drift_slack: float = 0.5
-    drift_threshold: float = 8.0
-    drift_increment_cap: float = 3.0
-    drift_spike_z: float = 6.0
-    drift_warmup: int = 16
-    hist_avg_beta: float = 0.85
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
-
-    def __post_init__(self):
-        if self.history < 8:
-            raise ValueError(f"history must be >= 8; got {self.history}")
-        if self.adapt_retry < 1:
-            raise ValueError(
-                f"adapt_retry must be >= 1; got {self.adapt_retry}")
-        if self.staleness_limit is not None and self.staleness_limit < 1:
-            raise ValueError(
-                f"staleness_limit must be >= 1; got {self.staleness_limit}")
-        if self.recovery_factor < 1.0:
-            raise ValueError(
-                f"recovery_factor must be >= 1; got {self.recovery_factor}")
-        if self.probation_ticks < 1 or self.max_adapt_rounds < 1:
-            raise ValueError(
-                "probation_ticks and max_adapt_rounds must be >= 1; got "
-                f"{self.probation_ticks}, {self.max_adapt_rounds}")
 
 
 @dataclass
@@ -173,18 +146,12 @@ class StreamRuntime:
         self.model_factory = model_factory
         self.checkpoint_dir = checkpoint_dir
         self.server = ForecastServer(model, serve_config)
-        self.ingestor = StreamIngestor(frame_shape,
-                                       watermark=self.config.watermark)
+        self.ingestor = StreamIngestor(frame_shape)
         self.cache = WindowCache(periodicity, frame_shape, dtype=np.float64)
-        self.history = deque(maxlen=self.config.history)
-        self.drift = DriftSentinel(
-            ema_beta=self.config.drift_beta, slack=self.config.drift_slack,
-            threshold=self.config.drift_threshold,
-            increment_cap=self.config.drift_increment_cap,
-            spike_z=self.config.drift_spike_z,
-            warmup=self.config.drift_warmup)
-        self.hist_avg = StreamingHistoricalAverage(
-            samples_per_day, frame_shape, beta=self.config.hist_avg_beta)
+        self.history = deque(maxlen=HISTORY)
+        self.drift = DriftSentinel()
+        self.hist_avg = StreamingHistoricalAverage(samples_per_day,
+                                                   frame_shape)
         self.persistence = StreamingPersistence(frame_shape)
         self._last_model_forecast = None  # (index, flows) awaiting truth
         self._adapt_cooldown = 0
@@ -239,7 +206,6 @@ class StreamRuntime:
             self.hist_avg.update(index, frame)
             self.persistence.update(frame)
         self.ingestor = StreamIngestor(self.frame_shape,
-                                       watermark=self.config.watermark,
                                        start_index=len(flows))
         return self
 
@@ -311,7 +277,7 @@ class StreamRuntime:
         state = self.drift.observe(error)
         if state != "drift" and self._probation_errors is not None:
             self._probation_errors.append(error)
-            if len(self._probation_errors) >= self.config.probation_ticks:
+            if len(self._probation_errors) >= PROBATION_TICKS:
                 self._finish_probation()
         if state == "drift":
             self.drift_events.append(index)
@@ -320,22 +286,18 @@ class StreamRuntime:
                 # it still describes the pre-drift error level — the
                 # target post-retrain probation must recover to.
                 if baseline_before is not None:
-                    self._recovery_target = (self.config.recovery_factor
-                                             * baseline_before)
+                    self._recovery_target = RECOVERY_FACTOR * baseline_before
                 self._probation_errors = None
                 self._adapt_rounds = 0
-                # Degrade now, retrain after `fresh_ticks` more ticks:
-                # retraining the instant drift is confirmed would fit
-                # on a window that barely contains the new regime.
-                # The fallback ladder answers in the meantime.
+                # Degrade now, retrain on the FRESH_TICKS-th tick
+                # counting this one: retraining the instant drift is
+                # confirmed would fit on a window that barely contains
+                # the new regime.  The fallback ladder answers in the
+                # meantime.
                 self.server.mark_degraded(
                     f"drift confirmed at tick {index} "
                     f"(cusum {self.drift.cusum:.2f})")
-                fresh = self.config.adaptation.fresh_ticks
-                if fresh > 0:
-                    self._adapt_cooldown = fresh
-                else:
-                    self.adapt()
+                self._adapt_cooldown = adaptation.FRESH_TICKS
             # Without auto-adapt the model keeps serving (frozen arm):
             # the drift is recorded, nothing can fix it.
             self.drift.rearm()
@@ -347,7 +309,7 @@ class StreamRuntime:
         mean_error = float(np.mean(errors))
         if (self._recovery_target is None
                 or mean_error <= self._recovery_target
-                or self._adapt_rounds >= self.config.max_adapt_rounds):
+                or self._adapt_rounds >= MAX_ADAPT_ROUNDS):
             # Recovered (or out of rounds: accept what we have rather
             # than retraining forever on the same window).
             self._recovery_target = None
@@ -355,8 +317,8 @@ class StreamRuntime:
         self.server.mark_degraded(
             f"recovery insufficient: post-swap error {mean_error:.3f} > "
             f"target {self._recovery_target:.3f} "
-            f"(round {self._adapt_rounds}/{self.config.max_adapt_rounds})")
-        self._adapt_cooldown = self.config.adaptation.fresh_ticks or 1
+            f"(round {self._adapt_rounds}/{MAX_ADAPT_ROUNDS})")
+        self._adapt_cooldown = adaptation.FRESH_TICKS
 
     # ------------------------------------------------------------------
     # Forecasting
@@ -373,10 +335,6 @@ class StreamRuntime:
             reason = "warmup: windows not yet populated"
         elif self.server.degraded is not None:
             reason = self.server.degraded
-        elif (self.config.staleness_limit is not None
-              and self.server.staleness_ticks > self.config.staleness_limit):
-            reason = (f"stale: weights {self.server.staleness_ticks} ticks "
-                      f"old (limit {self.config.staleness_limit})")
         if reason is None:
             flows = self._model_forecast()
             self._last_model_forecast = (index, flows)
@@ -447,7 +405,7 @@ class StreamRuntime:
         except AdaptationError as error:
             self.retrain_failures.append(str(error))
             self.server.mark_degraded(f"retrain failed: {error}")
-            self._adapt_cooldown = self.config.adapt_retry
+            self._adapt_cooldown = ADAPT_RETRY
             return False
         finally:
             self.retrain_s += perf_counter() - started

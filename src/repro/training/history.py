@@ -55,16 +55,12 @@ class History:
         """Number of completed epochs."""
         return len(self.train_loss)
 
-    def record(self, train_loss, train_reg, val_rmse, min_delta=0.0):
-        """Append one epoch; returns True when this is a new best.
-
-        ``min_delta`` is the minimum improvement that counts as a new
-        best (standard early-stopping slack).
-        """
+    def record(self, train_loss, train_reg, val_rmse):
+        """Append one epoch; returns True when this is a new best."""
         self.train_loss.append(train_loss)
         self.train_reg.append(train_reg)
         self.val_rmse.append(val_rmse)
-        if val_rmse < self.best_val_rmse - min_delta:
+        if val_rmse < self.best_val_rmse:
             self.best_val_rmse = val_rmse
             self.best_epoch = len(self.val_rmse) - 1
             return True

@@ -41,6 +41,11 @@ from repro.training.sentinel import POLICIES, DivergenceSentinel
 
 __all__ = ["TrainConfig", "Trainer"]
 
+#: Global gradient-norm cap applied before every optimizer step.
+CLIP_NORM = 5.0
+#: Samples per forward when predicting for validation and evaluation.
+EVAL_BATCH_SIZE = 64
+
 
 def _cast_model(model, dtype):
     """Cast a module tree's floating state to ``dtype`` in place.
@@ -76,15 +81,11 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 8
     lr: float = 2e-4  # the paper's Adam learning rate
-    clip_norm: float = 5.0
     # Early stopping: stop after `patience` consecutive epochs without a
-    # val-RMSE improvement of at least `min_delta`; None disables (use
-    # patience >= 1).
+    # val-RMSE improvement; None disables (use patience >= 1).
     patience: int | None = None
-    min_delta: float = 0.0
     seed: int = 0
     verbose: bool = False
-    eval_batch_size: int = 64
     profile_ops: bool = False  # collect a per-op profile during fit()
     # Compute precision: "float32", "float64", or None to keep whatever
     # the model/data already use.  float32 halves the tape footprint
@@ -92,12 +93,9 @@ class TrainConfig:
     dtype: str | None = None
     # Divergence sentinel: per-step non-finite/spike guard applied
     # before each optimizer step.  One of "raise", "skip_batch",
-    # "rollback", or None/"off" to disable (docs/robustness.md).
+    # "rollback", or None/"off" to disable; DivergenceSentinel owns the
+    # thresholds and the rollback budget (docs/robustness.md).
     sentinel: str | None = "raise"
-    sentinel_spike_factor: float = 1e3  # grad-norm spike threshold (x EMA)
-    sentinel_warmup: int = 10           # healthy steps before spike arming
-    rollback_lr_factor: float = 0.5     # lr multiplier per rollback
-    max_rollbacks: int = 3              # rollback budget before raising
     # Pinpoint the op introducing a NaN/Inf by running the whole fit
     # under repro.tensor.detect_anomaly() (slow; debugging only).
     detect_anomaly: bool = False
@@ -108,12 +106,11 @@ class TrainConfig:
     # end.  None (default) leaves the fit unbounded.
     max_steps: int | None = None
     # Periodic durable checkpoints: every `checkpoint_every` epochs into
-    # `checkpoint_dir`, keeping the newest `keep_last` plus a pinned
-    # best snapshot.  `resume=True` restarts fit() from the newest
+    # `checkpoint_dir`, keeping CheckpointManager's newest three plus a
+    # pinned best snapshot.  `resume=True` restarts fit() from the newest
     # valid checkpoint in `checkpoint_dir` (corrupt files skipped).
     checkpoint_dir: str | None = None
     checkpoint_every: int | None = None
-    keep_last: int = 3
     resume: bool = False
     # Data-parallel training: number of forked worker processes.  0
     # (default) keeps the single-process path; >= 1 routes every epoch
@@ -139,9 +136,6 @@ class TrainConfig:
                 "replays in-process, not in forked workers")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1; got {self.batch_size}")
-        if self.eval_batch_size < 1:
-            raise ValueError(
-                f"eval_batch_size must be >= 1; got {self.eval_batch_size}")
         if self.sentinel in ("off", "none"):
             self.sentinel = None
         if self.sentinel is not None and self.sentinel not in POLICIES:
@@ -153,8 +147,6 @@ class TrainConfig:
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1; got {self.checkpoint_every}")
-        if self.keep_last < 1:
-            raise ValueError(f"keep_last must be >= 1; got {self.keep_last}")
         if self.checkpoint_every is not None and self.checkpoint_dir is None:
             raise ValueError("checkpoint_every requires checkpoint_dir")
         if self.resume and self.checkpoint_dir is None:
@@ -166,11 +158,10 @@ class TrainConfig:
 class Trainer:
     """Fit a forecasting model on prepared :class:`ForecastData`."""
 
-    def __init__(self, model, config: TrainConfig = None, dtype=None):
+    def __init__(self, model, config: TrainConfig = None):
         self.model = model
         self.config = config if config is not None else TrainConfig()
-        if dtype is None:
-            dtype = self.config.dtype
+        dtype = self.config.dtype
         self.dtype = None if dtype is None else np.dtype(dtype)
         if self.dtype is not None and self.dtype.kind != "f":
             raise ValueError(f"dtype must be floating; got {self.dtype}")
@@ -275,17 +266,10 @@ class Trainer:
         profiler = OpProfiler() if config.profile_ops else None
         sentinel = None
         if config.sentinel is not None:
-            sentinel = DivergenceSentinel(
-                policy=config.sentinel,
-                spike_factor=config.sentinel_spike_factor,
-                warmup=config.sentinel_warmup,
-                lr_backoff=config.rollback_lr_factor,
-                max_rollbacks=config.max_rollbacks,
-            )
+            sentinel = DivergenceSentinel(policy=config.sentinel)
         manager = None
         if config.checkpoint_dir is not None:
-            manager = CheckpointManager(config.checkpoint_dir,
-                                        keep_last=config.keep_last)
+            manager = CheckpointManager(config.checkpoint_dir)
         parameters = self.optimizer.parameters
         global_step = self.optimizer._step_count
         snapshot = None
@@ -345,7 +329,7 @@ class Trainer:
                         for loss_value, reg_value in steps:
                             step_done = self._fit_step_tail(
                                 loss_value, reg_value, sentinel, snapshot,
-                                parameters, config, global_step, epoch,
+                                parameters, global_step, epoch,
                                 epoch_losses, epoch_regs)
                             global_step += 1
                             steps_this_fit += 1
@@ -379,7 +363,6 @@ class Trainer:
                         float(np.mean(epoch_regs)) if epoch_regs
                         else float("nan"),
                         val_rmse,
-                        min_delta=config.min_delta,
                     )
                     if improved:
                         best_state = self.model.state_dict()
@@ -457,8 +440,8 @@ class Trainer:
             yield breakdown.total.item(), breakdown.reg.item()
 
     def _fit_step_tail(self, loss_value, reg_value, sentinel, snapshot,
-                       parameters, config, global_step, epoch,
-                       epoch_losses, epoch_regs):
+                       parameters, global_step, epoch, epoch_losses,
+                       epoch_regs):
         """Sentinel → clip → optimizer step, once gradients are in place.
 
         Returns ``True`` when the update was applied (and the losses
@@ -470,12 +453,10 @@ class Trainer:
             if event is not None:
                 self._handle_divergence(sentinel, event, snapshot)
                 return False
-        if config.clip_norm:
-            # Reuse the sentinel's norm (bit-identical ordered vdot
-            # sum) instead of recomputing.
-            clip_grad_norm(parameters, config.clip_norm,
-                           norm=None if sentinel is None
-                           else sentinel.last_norm)
+        # Reuse the sentinel's norm (bit-identical ordered vdot sum)
+        # instead of recomputing.
+        clip_grad_norm(parameters, CLIP_NORM,
+                       norm=None if sentinel is None else sentinel.last_norm)
         self.optimizer.step()
         epoch_losses.append(loss_value)
         epoch_regs.append(reg_value)
@@ -517,7 +498,7 @@ class Trainer:
             return np.empty((0,) + batch.target.shape[1:],
                             dtype=batch.target.dtype)
         pieces = []
-        size = self.config.eval_batch_size
+        size = EVAL_BATCH_SIZE
         with no_grad():
             for start in range(0, len(batch), size):
                 pieces.append(self.model.predict(batch.slice(start, start + size)))

@@ -9,13 +9,15 @@ the trainer-level guard is the only thing keeping the tape empty.
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro.core.losses import LossBreakdown
 from repro.nn import Linear, Module
 from repro.nn.losses import mse_loss
 from repro.profiling import profile
 from repro.tensor import Tensor
-from repro.training import TrainConfig, Trainer
+from repro.training import Trainer
+from repro.training import trainer as trainer_module
 
 
 class UnguardedForecaster(Module):
@@ -49,10 +51,16 @@ class UnguardedForecaster(Module):
         return prediction.data.reshape((len(batch),) + self._target_shape)
 
 
+@pytest.fixture
+def eval_chunk_4(monkeypatch):
+    """Evaluate in chunks of 4, so every split spans several chunks."""
+    monkeypatch.setattr(trainer_module, "EVAL_BATCH_SIZE", 4)
+
+
+@pytest.mark.usefixtures("eval_chunk_4")
 class TestEvaluationRecordsNoTape:
     def test_predict_scaled_runs_tape_free(self, tiny_data):
-        trainer = Trainer(UnguardedForecaster(tiny_data),
-                          TrainConfig(eval_batch_size=4))
+        trainer = Trainer(UnguardedForecaster(tiny_data))
         with profile() as prof:
             prediction = trainer.predict_scaled(tiny_data.test)
         assert prediction.shape[0] == len(tiny_data.test)
@@ -62,21 +70,20 @@ class TestEvaluationRecordsNoTape:
         assert prof.peak_tape_bytes == 0
 
     def test_evaluate_runs_tape_free(self, tiny_data):
-        trainer = Trainer(UnguardedForecaster(tiny_data),
-                          TrainConfig(eval_batch_size=4))
+        trainer = Trainer(UnguardedForecaster(tiny_data))
         with profile() as prof:
             report = trainer.evaluate(tiny_data)
         assert np.isfinite(report.outflow_rmse)
         assert prof.peak_tape_bytes == 0
 
-    def test_chunked_eval_uses_contiguous_views(self, tiny_data):
+    def test_chunked_eval_uses_contiguous_views(self, tiny_data,
+                                                monkeypatch):
         # The chunk loop slices, not fancy-indexes: chunks alias the
         # evaluation batch's storage instead of copying it.
         chunk = tiny_data.test.slice(0, 4)
         assert np.shares_memory(chunk.closeness, tiny_data.test.closeness)
-        trainer = Trainer(UnguardedForecaster(tiny_data),
-                          TrainConfig(eval_batch_size=4))
+        trainer = Trainer(UnguardedForecaster(tiny_data))
         small = trainer.predict_scaled(tiny_data.test)
-        trainer.config.eval_batch_size = 64
+        monkeypatch.setattr(trainer_module, "EVAL_BATCH_SIZE", 64)
         big = trainer.predict_scaled(tiny_data.test)
         np.testing.assert_allclose(small, big)

@@ -1,4 +1,4 @@
-"""Trainer precision policy: ``Trainer(dtype=...)`` end to end."""
+"""Trainer precision policy: ``TrainConfig(dtype=...)`` end to end."""
 
 import numpy as np
 import pytest
@@ -15,27 +15,16 @@ def _tiny_train_config(**overrides):
 
 
 class TestTrainerDtype:
-    def test_dtype_kwarg_casts_model_before_optimizer(self, tiny_config):
+    def test_config_dtype_casts_model_before_optimizer(self, tiny_config):
         model = MUSENet(tiny_config)
-        trainer = Trainer(model, _tiny_train_config(), dtype="float32")
+        trainer = Trainer(model, _tiny_train_config(dtype="float32"))
         assert trainer.dtype == np.float32
         for param in model.parameters():
             assert param.data.dtype == np.float32
 
-    def test_config_dtype_used_when_kwarg_absent(self, tiny_config):
-        model = MUSENet(tiny_config)
-        trainer = Trainer(model, _tiny_train_config(dtype="float32"))
-        assert trainer.dtype == np.float32
-
-    def test_kwarg_overrides_config(self, tiny_config):
-        model = MUSENet(tiny_config)
-        trainer = Trainer(model, _tiny_train_config(dtype="float32"),
-                          dtype="float64")
-        assert trainer.dtype == np.float64
-
     def test_non_float_dtype_rejected(self, tiny_config):
         with pytest.raises(ValueError):
-            Trainer(MUSENet(tiny_config), _tiny_train_config(), dtype="int64")
+            Trainer(MUSENet(tiny_config), _tiny_train_config(dtype="int64"))
 
     def test_default_keeps_float64(self, tiny_config):
         model = MUSENet(tiny_config)
@@ -46,7 +35,7 @@ class TestTrainerDtype:
 
     def test_fit_and_predict_stay_float32(self, tiny_data, tiny_config):
         model = MUSENet(tiny_config)
-        trainer = Trainer(model, _tiny_train_config(), dtype="float32")
+        trainer = Trainer(model, _tiny_train_config(dtype="float32"))
         trainer.fit(tiny_data)
         for param in model.parameters():
             assert param.data.dtype == np.float32
@@ -64,14 +53,14 @@ class TestTrainerDtype:
         from repro.tensor import get_default_dtype
 
         model = MUSENet(tiny_config)
-        Trainer(model, _tiny_train_config(), dtype="float32").fit(tiny_data)
+        Trainer(model, _tiny_train_config(dtype="float32")).fit(tiny_data)
         assert get_default_dtype() == np.float64
 
 
 class TestCheckpointDtype:
     def test_checkpoint_records_and_restores_dtype(self, tiny_config, tmp_path):
         model = MUSENet(tiny_config)
-        trainer = Trainer(model, _tiny_train_config(), dtype="float32")
+        trainer = Trainer(model, _tiny_train_config(dtype="float32"))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, model, trainer.optimizer)
         with np.load(path) as archive:

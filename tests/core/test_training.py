@@ -6,6 +6,7 @@ import pytest
 from repro.core import MUSENet
 from repro.metrics import EvalReport, evaluate_flows, mae, mape, rmse
 from repro.training import TrainConfig, Trainer
+from repro.training import trainer as trainer_module
 
 
 class TestMetrics:
@@ -140,24 +141,27 @@ class TestTrainer:
         truth = tiny_data.inverse(tiny_data.val.target)
         assert rmse(prediction, truth) == pytest.approx(history.best_val_rmse, rel=1e-9)
 
-    def test_early_stopping(self, tiny_data, tiny_config):
+    def test_early_stopping(self, tiny_data, tiny_config, monkeypatch):
         model = MUSENet(tiny_config)
         trainer = Trainer(model, TrainConfig(epochs=50, lr=1e-9, patience=1,
-                                             min_delta=0.5, seed=0))
-        history = trainer.fit(tiny_data)
-        # With a vanishing lr nothing improves beyond min_delta, so
+                                             seed=0))
+        # A flat validation curve: nothing improves on epoch 0, so
         # training stops early.
+        monkeypatch.setattr(trainer, "_validation_rmse", lambda data: 1.0)
+        history = trainer.fit(tiny_data)
         assert history.stopped_early
         assert history.epochs_run < 50
 
-    def test_early_stopping_patience_is_exact(self, tiny_data, tiny_config):
+    def test_early_stopping_patience_is_exact(self, tiny_data, tiny_config,
+                                              monkeypatch):
         # Regression: `bad_epochs > patience` tolerated patience + 1
         # non-improving epochs.  With patience=1 the run must stop right
         # after the first non-improving epoch: epoch 0 improves (first
         # val-RMSE is always a new best), epoch 1 does not -> 2 epochs.
         model = MUSENet(tiny_config)
         trainer = Trainer(model, TrainConfig(epochs=50, lr=1e-9, patience=1,
-                                             min_delta=100.0, seed=0))
+                                             seed=0))
+        monkeypatch.setattr(trainer, "_validation_rmse", lambda data: 1.0)
         history = trainer.fit(tiny_data)
         assert history.stopped_early
         assert history.epochs_run == 2
@@ -209,43 +213,38 @@ class TestTrainer:
         # [-1, 1].  A trained model must leave the scaled range.
         assert flows.max() > 1.5
 
-    def test_chunked_prediction_matches_single(self, tiny_data, tiny_config):
-        model = MUSENet(tiny_config)
-        small_chunks = Trainer(model, TrainConfig(eval_batch_size=3))
-        big_chunks = Trainer(model, TrainConfig(eval_batch_size=1000))
+    def test_chunked_prediction_matches_single(self, tiny_data, tiny_config,
+                                               monkeypatch):
+        trainer = Trainer(MUSENet(tiny_config))
+        monkeypatch.setattr(trainer_module, "EVAL_BATCH_SIZE", 3)
+        small_chunks = trainer.predict_scaled(tiny_data.test)
+        monkeypatch.setattr(trainer_module, "EVAL_BATCH_SIZE", 1000)
         np.testing.assert_allclose(
-            small_chunks.predict_scaled(tiny_data.test),
-            big_chunks.predict_scaled(tiny_data.test),
-        )
+            small_chunks, trainer.predict_scaled(tiny_data.test))
 
     def test_predict_scaled_empty_batch(self, tiny_data, tiny_config):
         # Seed regression: an empty batch crashed in np.concatenate
         # ("need at least one array to concatenate") instead of
         # returning the well-defined empty answer.
         model = MUSENet(tiny_config)
-        trainer = Trainer(model, TrainConfig(eval_batch_size=4))
+        trainer = Trainer(model)
         empty = tiny_data.test.slice(0, 0)
         prediction = trainer.predict_scaled(empty)
         assert prediction.shape == (0,) + tiny_data.test.target.shape[1:]
         assert prediction.dtype == tiny_data.test.target.dtype
 
     def test_predict_scaled_tail_smaller_than_chunk(self, tiny_data,
-                                                    tiny_config):
+                                                    tiny_config, monkeypatch):
         # Odd tails at every relative size: N < chunk, N == chunk, and
         # N % chunk != 0 must all equal the one-shot forward row-for-row.
-        model = MUSENet(tiny_config)
-        reference = Trainer(
-            model, TrainConfig(eval_batch_size=1000)).predict_scaled(
-            tiny_data.test)
-        for n, size in ((2, 5), (5, 5), (7, 5)):
-            batch = tiny_data.test.slice(0, n)
-            got = Trainer(model,
-                          TrainConfig(eval_batch_size=size)).predict_scaled(
-                batch)
+        trainer = Trainer(MUSENet(tiny_config))
+        monkeypatch.setattr(trainer_module, "EVAL_BATCH_SIZE", 1000)
+        reference = trainer.predict_scaled(tiny_data.test)
+        monkeypatch.setattr(trainer_module, "EVAL_BATCH_SIZE", 5)
+        for n in (2, 5, 7):
+            got = trainer.predict_scaled(tiny_data.test.slice(0, n))
             np.testing.assert_allclose(got, reference[:n])
 
     def test_batch_size_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError, match="eval_batch_size"):
-            TrainConfig(eval_batch_size=0)

@@ -75,8 +75,7 @@ class TestSkipBatchPolicy:
 class TestRollbackPolicy:
     def test_rollback_restores_weights_and_backs_off_lr(self, tiny_data):
         model = FaultInjector(ToyForecaster(tiny_data), nan_loss_steps={2})
-        trainer = make_trainer(tiny_data, model, sentinel="rollback",
-                               rollback_lr_factor=0.5)
+        trainer = make_trainer(tiny_data, model, sentinel="rollback")
         lr_before = trainer.optimizer.lr
         history = trainer.fit(tiny_data)
         assert history.epochs_run == 3
@@ -87,11 +86,10 @@ class TestRollbackPolicy:
             assert np.isfinite(param.data).all()
 
     def test_rollback_budget_exhaustion_raises(self, tiny_data):
-        # Every step is poisoned: the budget (2) must trip.
+        # Every step is poisoned: the budget (3) must trip.
         model = FaultInjector(ToyForecaster(tiny_data),
                               nan_loss_steps=set(range(32)))
-        trainer = make_trainer(tiny_data, model, sentinel="rollback",
-                               max_rollbacks=2)
+        trainer = make_trainer(tiny_data, model, sentinel="rollback")
         with pytest.raises(DivergenceError, match="rollback"):
             trainer.fit(tiny_data)
 
@@ -108,10 +106,10 @@ class TestRollbackPolicy:
 
 class TestSpikeDetection:
     def test_exploding_gradient_flagged(self, tiny_data):
+        # Step 11 follows 11 healthy steps: past the 10-step warmup.
         model = FaultInjector(ToyForecaster(tiny_data),
-                              scale_loss_steps={5: 1e9})
-        trainer = make_trainer(tiny_data, model, sentinel="raise", epochs=6,
-                               sentinel_warmup=2)
+                              scale_loss_steps={11: 1e9})
+        trainer = make_trainer(tiny_data, model, sentinel="raise", epochs=6)
         with pytest.raises(DivergenceError, match="grad_spike"):
             trainer.fit(tiny_data)
 

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import (AutoScaleConfig, AutoScaler, ForecastServer,
-                         ReplicaPool, ServeConfig)
+from repro.serve import AutoScaler, ForecastServer, ReplicaPool, ServeConfig
+from repro.serve import autoscale
 from repro.tensor import no_grad
 
 from tests.serve.conftest import TinyForecaster
@@ -36,35 +36,23 @@ class StubServer:
         return replicas
 
 
-def make_scaler(stub, **overrides):
-    knobs = dict(min_replicas=1, max_replicas=4, high_queue_depth=8,
-                 high_wait_ms=50.0, low_wait_ms=5.0, patience=2,
-                 cooldown_s=0.0)
-    knobs.update(overrides)
-    return AutoScaler(stub, AutoScaleConfig(**knobs))
+@pytest.fixture
+def policy(monkeypatch):
+    """Set the policy constants a test drives: ``policy(PATIENCE=1)``."""
+    monkeypatch.setattr(autoscale, "PATIENCE", 2)
+    monkeypatch.setattr(autoscale, "COOLDOWN_S", 0.0)
+
+    def set_constants(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(autoscale, name, value)
+    return set_constants
 
 
-class TestAutoScaleConfig:
-    @pytest.mark.parametrize("kwargs, match", [
-        (dict(min_replicas=0), "min_replicas"),
-        (dict(min_replicas=3, max_replicas=2), "max_replicas"),
-        (dict(high_queue_depth=0), "high_queue_depth"),
-        (dict(low_wait_ms=-1.0), "low_wait_ms"),
-        (dict(high_wait_ms=5.0, low_wait_ms=5.0), "low_wait_ms"),
-        (dict(patience=0), "patience"),
-        (dict(cooldown_s=-1.0), "cooldown_s"),
-        (dict(interval_s=0.0), "interval_s"),
-    ])
-    def test_rejects_bad_knobs(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            AutoScaleConfig(**kwargs)
-
-    def test_as_dict_round_trips_the_knobs(self):
-        config = AutoScaleConfig(2, 6, patience=5, cooldown_s=3.0)
-        rebuilt = AutoScaleConfig(**config.as_dict())
-        assert rebuilt.as_dict() == config.as_dict()
+def make_scaler(stub):
+    return AutoScaler(stub, min_replicas=1, max_replicas=4)
 
 
+@pytest.mark.usefixtures("policy")
 class TestPolicy:
     def test_scale_up_needs_patience_consecutive_pressure(self):
         stub = StubServer(replicas=1)
@@ -85,16 +73,18 @@ class TestPolicy:
         assert scaler.step(now=2.0) == 0  # streak restarted from zero
         assert stub.scale_calls == []
 
-    def test_queue_wait_alone_is_pressure(self):
+    def test_queue_wait_alone_is_pressure(self, policy):
         stub = StubServer(replicas=1)
-        scaler = make_scaler(stub, patience=1)
+        policy(PATIENCE=1)
+        scaler = make_scaler(stub)
         stub.wait_ms = 80.0  # depth stays 0
         assert scaler.step(now=0.0) == +1
         assert stub.replica_count == 2
 
-    def test_slack_scales_down_to_min_and_stops(self):
+    def test_slack_scales_down_to_min_and_stops(self, policy):
         stub = StubServer(replicas=3)
-        scaler = make_scaler(stub, patience=1)
+        policy(PATIENCE=1)
+        scaler = make_scaler(stub)
         stub.wait_ms = 1.0
         assert scaler.step(now=0.0) == -1
         assert scaler.step(now=1.0) == -1
@@ -102,25 +92,28 @@ class TestPolicy:
         assert scaler.step(now=2.0) == 0  # already at min_replicas
         assert stub.scale_calls == [2, 1]
 
-    def test_pressure_at_max_replicas_does_nothing(self):
+    def test_pressure_at_max_replicas_does_nothing(self, policy):
         stub = StubServer(replicas=4)
-        scaler = make_scaler(stub, patience=1)
+        policy(PATIENCE=1)
+        scaler = make_scaler(stub)
         stub.queue_depth = 100
         assert scaler.step(now=0.0) == 0
         assert stub.scale_calls == []
 
-    def test_cooldown_blocks_consecutive_scale_events(self):
+    def test_cooldown_blocks_consecutive_scale_events(self, policy):
         stub = StubServer(replicas=1)
-        scaler = make_scaler(stub, patience=1, cooldown_s=10.0)
+        policy(PATIENCE=1, COOLDOWN_S=10.0)
+        scaler = make_scaler(stub)
         stub.queue_depth = 20
         assert scaler.step(now=0.0) == +1
         assert scaler.step(now=5.0) == 0   # inside the cooldown window
         assert scaler.step(now=10.0) == +1  # window over
         assert stub.scale_calls == [2, 3]
 
-    def test_events_record_the_triggering_signals(self):
+    def test_events_record_the_triggering_signals(self, policy):
         stub = StubServer(replicas=1)
-        scaler = make_scaler(stub, patience=1)
+        policy(PATIENCE=1)
+        scaler = make_scaler(stub)
         stub.queue_depth = 20
         stub.wait_ms = 75.0
         scaler.step(now=0.0)
@@ -136,10 +129,10 @@ class TestPolicy:
         assert down["direction"] == "down"
         assert (down["from"], down["to"]) == (2, 1)
 
-    def test_background_driver_steps_and_closes_cleanly(self):
+    def test_background_driver_steps_and_closes_cleanly(self, policy):
         stub = StubServer(replicas=1)
-        scaler = AutoScaler(stub, AutoScaleConfig(
-            1, 4, patience=1, cooldown_s=0.0, interval_s=0.005))
+        policy(PATIENCE=1, INTERVAL_S=0.005)
+        scaler = make_scaler(stub)
         stub.queue_depth = 20
         with scaler:
             deadline = time.monotonic() + 10.0

@@ -24,7 +24,7 @@ from repro.optim import Adam
 from repro.serve import ForecastServer, ReplicaPool, ServeConfig
 from repro.serve.batcher import MicroBatcher
 from repro.tensor import no_grad
-from repro.training import TrainConfig, Trainer, save_checkpoint
+from repro.training import Trainer, save_checkpoint
 
 from tests.serve.conftest import TinyForecaster
 
@@ -36,7 +36,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def offline_reference(model, batch):
-    return Trainer(model, TrainConfig(eval_batch_size=4)).predict_scaled(batch)
+    return Trainer(model).predict_scaled(batch)
 
 
 def _checkpoint(model, path):

@@ -10,14 +10,14 @@ import pytest
 from repro.data import build_samples
 from repro.optim import Adam
 from repro.serve import ForecastServer, ServeConfig
-from repro.training import TrainConfig, Trainer, save_checkpoint
+from repro.training import Trainer, save_checkpoint
 
 from tests.serve.conftest import TinyForecaster
 
 
 def offline_reference(model, batch):
     """The offline evaluation path the serving contract is pinned to."""
-    return Trainer(model, TrainConfig(eval_batch_size=4)).predict_scaled(batch)
+    return Trainer(model).predict_scaled(batch)
 
 
 class TestServedEqualsOffline:

@@ -20,6 +20,7 @@ import pytest
 from repro.inspect import sanitizer
 
 from repro.stream import AdaptationConfig, StreamConfig
+from repro.stream import adapt as adapt_mod
 
 from tests.stream.test_runtime import (
     live_tick,
@@ -30,10 +31,7 @@ from tests.stream.test_runtime import (
 
 # Same knobs as TestAdaptation in test_runtime (not imported — pytest
 # would re-collect that class here).
-ADAPT_CONFIG = StreamConfig(
-    history=64,
-    adaptation=AdaptationConfig(step_budget=4, epochs=1,
-                                gate_factor=50.0, fresh_ticks=0))
+ADAPT_CONFIG = StreamConfig(adaptation=AdaptationConfig(step_budget=4))
 
 pytestmark = pytest.mark.skipif(
     bool(os.environ.get("REPRO_TSAN")),
@@ -43,7 +41,8 @@ _SOURCES = {"model", "historical_average", "persistence", "zeros"}
 
 
 class TestDriftRetrainStressed:
-    def test_hot_swap_under_forecast_fire(self, tmp_path):
+    def test_hot_swap_under_forecast_fire(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(adapt_mod, "GATE_FACTOR", 50.0)
         flows = make_flows(40)
         with sanitizer.enabled(stress=True, seed=321,
                                max_sleep_ms=0.5) as session:

@@ -13,9 +13,12 @@ from repro.serve.server import ServeConfig
 from repro.stream import (
     AdaptationConfig,
     StreamConfig,
+    StreamIngestor,
     StreamRuntime,
     Tick,
 )
+from repro.stream import adapt as adapt_mod
+from repro.stream import runtime as runtime_mod
 from repro.training import Trainer
 
 SHAPE = (2, 2, 2)
@@ -55,6 +58,13 @@ def make_runtime(flows_warm, config=None, model_factory=None,
 
 def live_tick(flows, index):
     return Tick(index=index, frame=flows[index])
+
+
+def in_order(runtime):
+    """Swap in a watermark-1 ingestor: a skipped index is a gap at once."""
+    runtime.ingestor = StreamIngestor(
+        SHAPE, watermark=1, start_index=runtime.ingestor.next_index)
+    return runtime
 
 
 class TestCleanStreamIdentity:
@@ -118,18 +128,15 @@ class TestDegradationLadder:
             runtime.server.clear_degraded()
             assert runtime.forecast().source == "model"
 
-    def test_staleness_limit_degrades_with_telemetry(self):
+    def test_staleness_ticks_counted_in_telemetry(self):
         flows = make_flows(32)
-        config = StreamConfig(staleness_limit=3)
-        runtime = make_runtime(flows[:20], config=config)
+        runtime = make_runtime(flows[:20])
         with runtime:
             # Warm-start does not age the weights.
             assert runtime.server.staleness_ticks == 0
             for index in range(20, 25):
                 runtime.ingest(live_tick(flows, index))
             result = runtime.forecast()
-            assert result.source != "model"
-            assert result.reason.startswith("stale")
             assert result.staleness == 5
             assert runtime.server.snapshot()["staleness_ticks"] == 5
 
@@ -151,8 +158,7 @@ class TestFaultHandling:
 
     def test_gap_advances_clock_and_flags_windows(self):
         flows = make_flows(32)
-        config = StreamConfig(watermark=1)
-        runtime = make_runtime(flows[:20], config=config)
+        runtime = in_order(make_runtime(flows[:20]))
         with runtime:
             # 20 never arrives; 21 forces the gap declaration.
             applied = runtime.ingest(live_tick(flows, 21))
@@ -176,10 +182,15 @@ class TestFaultHandling:
 
 
 class TestAdaptation:
-    CONFIG = StreamConfig(
-        history=64,
-        adaptation=AdaptationConfig(step_budget=4, epochs=1,
-                                    gate_factor=50.0, fresh_ticks=0))
+    CONFIG = StreamConfig(adaptation=AdaptationConfig(step_budget=4))
+
+    @pytest.fixture(autouse=True)
+    def lenient_gate(self):
+        # A 4-step candidate need not beat the serving model; these
+        # tests pin the swap path, not the gate.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(adapt_mod, "GATE_FACTOR", 50.0)
+            yield
 
     def _adaptive_runtime(self, tmp_path, flows_warm):
         return make_runtime(
@@ -300,8 +311,8 @@ class TestLifecycle:
 
     def test_telemetry_counts_every_stream_event(self, monkeypatch):
         flows = make_flows(32)
-        runtime = make_runtime(flows[:20], config=StreamConfig(
-            watermark=1, auto_adapt=False))
+        runtime = in_order(make_runtime(
+            flows[:20], config=StreamConfig(auto_adapt=False)))
         with runtime:
             monkeypatch.setattr(runtime.drift, "observe",
                                 lambda error: "drift")
@@ -319,10 +330,10 @@ class TestLifecycle:
         assert t["drift_events"] == [20]
         assert sum(t["fallbacks"].values()) == 1
 
-    def test_history_window_is_bounded(self):
+    def test_history_window_is_bounded(self, monkeypatch):
         flows = make_flows(40)
-        config = StreamConfig(history=16)
-        runtime = make_runtime(flows[:20], config=config)
+        monkeypatch.setattr(runtime_mod, "HISTORY", 16)
+        runtime = make_runtime(flows[:20])
         with runtime:
             for index in range(20, 30):
                 runtime.ingest(live_tick(flows, index))

@@ -126,11 +126,12 @@ class TestMatmul:
     def test_batched_broadcast_rhs(self):
         check_gradients(lambda t: (t[0] @ t[1]).tanh().sum(), [rand(2, 3, 4), rand(4, 5)])
 
-    def test_vector_rhs(self):
-        check_gradients(lambda t: (t[0] @ t[1]).tanh().sum(), [rand(3, 4), rand(4)])
-
-    def test_vector_lhs(self):
-        check_gradients(lambda t: (t[0] @ t[1]).tanh().sum(), [rand(4), rand(4, 5)])
+    def test_vector_operand_raises(self):
+        # The message names both shapes, whichever side is the vector.
+        for lhs, rhs in (((3, 4), (4,)), ((4,), (4, 5))):
+            with pytest.raises(ValueError, match="rank >= 2") as info:
+                rand(*lhs) @ rand(*rhs)
+            assert f"{lhs} and {rhs}" in str(info.value)
 
 
 class TestConv:
