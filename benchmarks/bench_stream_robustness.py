@@ -144,7 +144,7 @@ def run_fault(name, seed=0, epochs=8):
         "masked_cells": telemetry["masked_cells"],
         "retrains": telemetry["retrains"],
         "fallbacks": telemetry["fallbacks"],
-        "degraded_at_end": telemetry["serve"]["degraded"],
+        "degraded_at_end": telemetry["degraded"],
     }
 
 

@@ -81,6 +81,38 @@ stage "data-parallel smoke fit (2 workers)"
 run python -m repro train MUSE-Net --profile ci --dtype float32 --workers 2 \
     --profile-ops
 
+# Socket session through the real CLI: bind `repro serve MUSE-Net
+# --listen` (plus any extra server flags given as arguments) on an
+# ephemeral port, discover it via --address-file, run the python client
+# read from stdin against that address, and require a clean drain:
+# client exit 0, server exit 0 and "drained cleanly" in its log.
+listen_session() {
+    local dir pid
+    dir="$(mktemp -d)"
+    python -m repro serve MUSE-Net --listen 127.0.0.1:0 \
+        --address-file "$dir/address" --max-wait-ms 0.5 "$@" \
+        > "$dir/server.log" 2>&1 &
+    pid=$!
+    for _ in $(seq 1 240); do
+        [ -s "$dir/address" ] && break
+        kill -0 "$pid" 2>/dev/null || { cat "$dir/server.log"; return 1; }
+        sleep 0.5
+    done
+    if ! [ -s "$dir/address" ]; then
+        echo "server never bound"; cat "$dir/server.log"
+        kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null
+        return 1
+    fi
+    if ! python - "$dir/address"; then
+        kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null
+        cat "$dir/server.log"
+        return 1
+    fi
+    wait "$pid" || { echo "server exited non-zero"; cat "$dir/server.log"; return 1; }
+    grep -q "drained cleanly" "$dir/server.log" || { cat "$dir/server.log"; return 1; }
+    rm -rf "$dir"
+}
+
 stage "replica-pool smoke (2 replicas)"
 # End-to-end replica pool through the real CLI: forked replicas over
 # one shared parameter buffer, sharded rounds, clean teardown.  Exits 1
@@ -92,6 +124,23 @@ run python -m repro serve MUSE-Net --profile ci --replicas 2 \
 # close.
 run python -m repro serve MUSE-Net --profile ci --replicas 1 \
     --min-replicas 1 --max-replicas 2 --requests 64 --concurrency 8
+# That replay ends before the driver's first 1 s tick, so a listening
+# session stays up until the autoscaler has taken a policy step.
+run listen_session --replicas 1 --min-replicas 1 --max-replicas 2 <<'PYEOF'
+import sys
+import time
+
+from repro.serve import ForecastClient
+
+address = open(sys.argv[1], encoding="utf-8").read().strip()
+with ForecastClient(address, wait_ready_s=10.0) as client:
+    deadline = time.monotonic() + 30.0
+    while client.stats()["autoscaler"]["observations"] < 1:
+        assert time.monotonic() < deadline, "no autoscaler step in 30 s"
+        time.sleep(0.2)
+    client.shutdown()
+print("autoscaler step OK")
+PYEOF
 
 stage "compiled paths smoke"
 # Both graph compilers through the real CLI: compiled serving forwards
@@ -126,28 +175,12 @@ stage "serve-latency bench (smoke)"
 run python benchmarks/bench_serve_latency.py --mode smoke --out BENCH_serve.json
 
 stage "socket serving round trip"
-# End-to-end through the real CLI: bind the asyncio front-end on an
-# ephemeral port, discover it via --address-file, query over the wire,
-# ask for a clean drain, and require exit code 0 from the server.
-socket_round_trip() {
-    local dir pid
-    dir="$(mktemp -d)"
-    python -m repro serve MUSE-Net --listen 127.0.0.1:0 \
-        --address-file "$dir/address" --max-wait-ms 0.5 \
-        > "$dir/server.log" 2>&1 &
-    pid=$!
-    for _ in $(seq 1 240); do
-        [ -s "$dir/address" ] && break
-        kill -0 "$pid" 2>/dev/null || { cat "$dir/server.log"; return 1; }
-        sleep 0.5
-    done
-    if ! [ -s "$dir/address" ]; then
-        echo "server never bound"; cat "$dir/server.log"
-        kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null
-        return 1
-    fi
-    if ! python - "$dir/address" <<'PYEOF'
+# End-to-end through the real CLI: query over the wire, push one raw
+# frame and one gap (the server caches raw frames and scales at sample
+# time), then ask for a clean drain.
+run listen_session <<'PYEOF'
 import sys
+from repro.data import load_dataset
 from repro.serve import ForecastClient
 
 address = open(sys.argv[1], encoding="utf-8").read().strip()
@@ -161,19 +194,17 @@ with ForecastClient(address, wait_ready_s=10.0) as client:
     assert (values[0] == prediction[:, 0, 0]).all()
     snap = client.stats()
     assert snap["result_cache"]["misses"] >= 1
+    # The raw flows of the forecast interval (the server warmed its
+    # window from this dataset's raw history), then a declared gap.
+    client.push(load_dataset("nyc-bike", scale="tiny").flows[index])
+    client.push_gap()
+    _prediction, pushed_index, _ = client.forecast()
+    assert pushed_index == index + 2, (index, pushed_index)
+    staleness = client.stats()["staleness_ticks"]
+    assert staleness == snap["staleness_ticks"] + 2, staleness
     client.shutdown()
 print("socket round trip OK")
 PYEOF
-    then
-        kill "$pid" 2>/dev/null; wait "$pid" 2>/dev/null
-        cat "$dir/server.log"
-        return 1
-    fi
-    wait "$pid" || { echo "server exited non-zero"; cat "$dir/server.log"; return 1; }
-    grep -q "drained cleanly" "$dir/server.log" || return 1
-    rm -rf "$dir"
-}
-run socket_round_trip
 
 stage "streaming suite"
 # Disruption-tolerant runtime: ingest ordering/quarantine/gaps, drift

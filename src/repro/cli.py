@@ -110,6 +110,42 @@ def _train_overrides(args):
     return overrides or None
 
 
+def _unknown_method(method):
+    """Report an unknown ``method`` on stderr; returns exit code 2."""
+    print(f"unknown method {method!r}; choose MUSE-Net or one of "
+          f"{', '.join(BASELINE_NAMES)}", file=sys.stderr)
+    return 2
+
+
+def _build_model(args, data):
+    """The untrained model ``args.method`` names, sized for ``data``;
+    ``None`` for an unknown method."""
+    from repro.baselines import BaselineConfig, make_baseline
+    from repro.core import MUSENet
+    from repro.experiments.common import get_profile, muse_config
+
+    profile = get_profile(args.profile)
+    if args.method == "MUSE-Net":
+        return MUSENet(muse_config(data, profile, seed=args.seed))
+    if args.method in BASELINE_NAMES:
+        return make_baseline(args.method, BaselineConfig.for_data(
+            data, hidden=profile.hidden, seed=args.seed))
+    return None
+
+
+def _resolve_checkpoint(path):
+    """``path`` itself, or the newest valid archive in a directory;
+    ``None`` (reported on stderr) when the directory holds none."""
+    if not os.path.isdir(path):
+        return path
+    found = find_latest_checkpoint(path)
+    if found is None:
+        print(f"error: no valid checkpoint found in {path!r} (corrupt "
+              "archives are skipped); train with --checkpoint-dir first",
+              file=sys.stderr)
+    return found
+
+
 def _cmd_train(args):
     data = prepare(args.dataset, args.profile, horizon=args.horizon)
     profile_ops = getattr(args, "profile_ops", False)
@@ -124,9 +160,7 @@ def _cmd_train(args):
                                  profile_ops=profile_ops, dtype=dtype,
                                  train_overrides=overrides)
     else:
-        print(f"unknown method {args.method!r}; choose MUSE-Net or one of "
-              f"{', '.join(BASELINE_NAMES)}", file=sys.stderr)
-        return 2
+        return _unknown_method(args.method)
     report = trainer.evaluate(data)
     print(f"{args.method} on {args.dataset} [{args.profile}] horizon {args.horizon}")
     print(report)
@@ -165,33 +199,15 @@ def _cmd_train(args):
 
 
 def _cmd_evaluate(args):
-    from repro.core import MUSENet
-    from repro.baselines import BaselineConfig, make_baseline
-    from repro.experiments.common import get_profile, muse_config
     from repro.training import Trainer, load_checkpoint
 
     data = prepare(args.dataset, args.profile, horizon=args.horizon)
-    profile = get_profile(args.profile)
-    if args.method == "MUSE-Net":
-        model = MUSENet(muse_config(data, profile, seed=args.seed))
-    elif args.method in BASELINE_NAMES:
-        config = BaselineConfig.for_data(data, hidden=profile.hidden,
-                                         seed=args.seed)
-        model = make_baseline(args.method, config)
-    else:
-        print(f"unknown method {args.method!r}; choose MUSE-Net or one of "
-              f"{', '.join(BASELINE_NAMES)}", file=sys.stderr)
-        return 2
-
-    path = args.checkpoint
-    if os.path.isdir(path):
-        found = find_latest_checkpoint(path)
-        if found is None:
-            print(f"error: no valid checkpoint found in {path!r} (corrupt "
-                  "archives are skipped); train with --checkpoint-dir first",
-                  file=sys.stderr)
-            return 1
-        path = found
+    model = _build_model(args, data)
+    if model is None:
+        return _unknown_method(args.method)
+    path = _resolve_checkpoint(args.checkpoint)
+    if path is None:
+        return 1
     trainer = Trainer(model)
     load_checkpoint(path, model, trainer.optimizer)
     report = trainer.evaluate(data)
@@ -250,9 +266,6 @@ def _cmd_serve(args):
 
     import numpy as np
 
-    from repro.core import MUSENet
-    from repro.baselines import BaselineConfig, make_baseline
-    from repro.experiments.common import get_profile, muse_config
     from repro.serve import ForecastServer, ServeConfig
     from repro.training import Trainer
 
@@ -261,40 +274,26 @@ def _cmd_serve(args):
     if args.concurrency < 1:
         raise ValueError(f"--concurrency must be >= 1; got {args.concurrency}")
     data = prepare(args.dataset, args.profile, horizon=args.horizon)
-    profile = get_profile(args.profile)
-    if args.method == "MUSE-Net":
-        model = MUSENet(muse_config(data, profile, seed=args.seed))
-    elif args.method in BASELINE_NAMES:
-        config = BaselineConfig.for_data(data, hidden=profile.hidden,
-                                         seed=args.seed)
-        model = make_baseline(args.method, config)
-    else:
-        print(f"unknown method {args.method!r}; choose MUSE-Net or one of "
-              f"{', '.join(BASELINE_NAMES)}", file=sys.stderr)
-        return 2
+    model = _build_model(args, data)
+    if model is None:
+        return _unknown_method(args.method)
 
-    serve_config = ServeConfig(max_batch=args.max_batch,
-                               max_wait_ms=args.max_wait_ms,
-                               replicas=args.replicas,
-                               compile=getattr(args, "compile", False),
-                               min_replicas=getattr(args, "min_replicas", 0),
-                               max_replicas=getattr(args, "max_replicas", 0))
+    config = ServeConfig(max_batch=args.max_batch,
+                         max_wait_ms=args.max_wait_ms,
+                         replicas=args.replicas,
+                         compile=getattr(args, "compile", False),
+                         min_replicas=getattr(args, "min_replicas", 0),
+                         max_replicas=getattr(args, "max_replicas", 0))
     test = data.test
-    server = ForecastServer(model, serve_config, scaler=data.scaler,
+    server = ForecastServer(model, config, scaler=data.scaler,
                             periodicity=data.periodicity,
                             frame_shape=test.target.shape[1:],
                             template=test)
     with server:
         if args.checkpoint:
-            path = args.checkpoint
-            if os.path.isdir(path):
-                found = find_latest_checkpoint(path)
-                if found is None:
-                    print(f"error: no valid checkpoint found in {path!r} "
-                          "(corrupt archives are skipped); train with "
-                          "--checkpoint-dir first", file=sys.stderr)
-                    return 1
-                path = found
+            path = _resolve_checkpoint(args.checkpoint)
+            if path is None:
+                return 1
             generation = server.load_checkpoint(path)
             print(f"installed {path} (generation {generation})")
 
@@ -413,7 +412,7 @@ def _cmd_stream(args):
         serve = telemetry["serve"]
         print(f"serve: generation {serve['generation']}, staleness "
               f"{serve['staleness_ticks']} ticks, degraded "
-              f"{serve['degraded']}")
+              f"{telemetry['degraded']}")
         if max_err is not None:
             print(f"clean stream == offline predict_scaled: max|err| "
                   f"{max_err:.3g}")

@@ -17,6 +17,13 @@ window of the past.  :class:`WindowCache` maintains exactly that window:
   shifting — but the gather touches ``L_p + L_t`` small frames, never
   the full history).
 
+Frames are kept as they were pushed, in the dtype of the first frame:
+the cache never scales or casts.  A :class:`~repro.serve.server.
+ForecastServer` with a scaler therefore caches raw flows and scales
+each sample when a forecast takes it — min-max scaling is elementwise
+with global bounds, so slice-then-scale equals scale-then-slice
+bitwise, and raw windows stay valid when adaptation widens the bounds.
+
 The assembled windows are **bit-identical** to ``build_samples`` run
 from scratch over the full history at the same target index — the cache
 is an optimization, not an approximation — which
@@ -35,6 +42,12 @@ filled history.  The carried-forward values are exactly what
 ``build_samples`` would see on a history whose gaps were filled the
 same way — the contract changes bookkeeping, never the numerics.
 
+**Thread safety**: one lock covers every write (:meth:`push`,
+:meth:`push_gap`) and every read (:meth:`sample`,
+:meth:`imputed_counts`, :attr:`last_frame`, the counters), so a sample
+taken while another thread pushes holds the windows of one tick, never
+a closeness window from the next tick under the previous index.
+
 One cache covers every grid cell at once (frames are whole ``(2, H, W)``
 grids); per-cell forecasts slice the shared batched forward instead of
 assembling per-cell windows.
@@ -46,6 +59,7 @@ import numpy as np
 
 from repro.data.periodicity import MultiPeriodicity
 from repro.data.windows import SampleBatch
+from repro.inspect import sanitizer
 
 __all__ = ["WindowCache"]
 
@@ -61,12 +75,9 @@ class WindowCache:
         same sub-series lengths it was fit with).
     frame_shape:
         Shape of one observed frame, ``(2, H, W)`` for grid flows.
-    dtype:
-        Frame dtype; defaults to the dtype of the first pushed frame.
     """
 
-    def __init__(self, periodicity: MultiPeriodicity, frame_shape,
-                 dtype=None):
+    def __init__(self, periodicity: MultiPeriodicity, frame_shape):
         self.periodicity = periodicity
         self.frame_shape = tuple(int(s) for s in frame_shape)
         self.capacity = int(periodicity.min_index)
@@ -79,12 +90,12 @@ class WindowCache:
         self.trend_lags = np.arange(
             periodicity.len_trend, 0, -1) * periodicity.trend_lag
         #: Optional callback fired after every clock advance
-        #: (:meth:`push` and therefore :meth:`push_gap`) with the new
-        #: frame count.  The server hangs result-cache invalidation
-        #: here: a new tick means a new target index, so memoized
-        #: forecasts for older indices are dead weight.
+        #: (:meth:`push` and :meth:`push_gap`), outside the lock, with
+        #: the new frame count.  The server hangs result-cache
+        #: invalidation here: a new tick means a new target index, so
+        #: memoized forecasts for older indices are dead weight.
         self.on_advance = None
-        self._dtype = None if dtype is None else np.dtype(dtype)
+        self._lock = sanitizer.create_lock("WindowCache._lock")
         self._ring = None       # (capacity,) + frame_shape
         self._closeness = None  # (L_c,) + frame_shape, rolling
         self._count = 0         # total frames observed
@@ -98,68 +109,57 @@ class WindowCache:
     @property
     def count(self):
         """Total ticks observed; also the next (forecast) target index."""
-        return self._count
+        with self._lock:
+            return self._count
 
     @property
     def next_index(self):
         """The target interval the next :meth:`sample` forecasts."""
-        return self._count
+        return self.count
 
     @property
     def ready(self):
         """True once every sub-series window is fully populated."""
-        return self._count >= self.capacity
+        return self.count >= self.capacity
 
     @property
     def gap_count(self):
         """Total intervals recorded via :meth:`push_gap`."""
-        return self._gap_count
+        with self._lock:
+            return self._gap_count
 
     @property
     def last_frame(self):
         """Copy of the most recent frame, or ``None`` before any push."""
-        if self._count == 0:
-            return None
-        return self._ring[(self._count - 1) % self.capacity].copy()
+        with self._lock:
+            if self._count == 0:
+                return None
+            return self._ring[(self._count - 1) % self.capacity].copy()
 
     def _allocate(self, dtype):
-        self._dtype = np.dtype(dtype)
         self._ring = np.zeros((self.capacity,) + self.frame_shape,
-                              dtype=self._dtype)
+                              dtype=dtype)
         self._closeness = np.zeros(
             (self.periodicity.len_closeness,) + self.frame_shape,
-            dtype=self._dtype)
+            dtype=dtype)
         self._imputed_ring = np.zeros(self.capacity, dtype=bool)
         self._closeness_imputed = np.zeros(
             self.periodicity.len_closeness, dtype=bool)
 
     # ------------------------------------------------------------------
-    def push(self, frame, observed=True):
-        """Observe one tick; returns the count of frames seen so far.
-
-        ``observed=False`` records the frame as an imputed fill (used by
-        :meth:`push_gap`); the values enter the windows normally but the
-        slot is flagged in :meth:`imputed_counts`.
-        """
+    def push(self, frame):
+        """Observe one tick; returns the count of frames seen so far."""
         frame = np.asarray(frame)
         if frame.shape != self.frame_shape:
             raise ValueError(
                 f"frame shape {frame.shape} != expected {self.frame_shape}")
-        if self._ring is None:
-            self._allocate(self._dtype if self._dtype is not None
-                           else frame.dtype)
-        self._ring[self._count % self.capacity] = frame
-        self._imputed_ring[self._count % self.capacity] = not observed
-        # Rolling closeness: shift one slot left, newest frame last —
-        # matches Eq. (3)'s [i - L_c, ..., i - 1] ordering.
-        self._closeness[:-1] = self._closeness[1:]
-        self._closeness[-1] = frame
-        self._closeness_imputed[:-1] = self._closeness_imputed[1:]
-        self._closeness_imputed[-1] = not observed
-        self._count += 1
+        with self._lock:
+            if self._ring is None:
+                self._allocate(frame.dtype)
+            count = self._advance(frame, observed=True)
         if self.on_advance is not None:
-            self.on_advance(self._count)
-        return self._count
+            self.on_advance(count)
+        return count
 
     def push_gap(self):
         """Record one unobserved interval (the gap contract).
@@ -169,23 +169,38 @@ class WindowCache:
         is carried forward as the fill value (zeros when the gap
         precedes any observation).  The slot is flagged imputed.
         """
-        if self._ring is None or self._count == 0:
+        with self._lock:
             if self._ring is None:
-                self._allocate(self._dtype if self._dtype is not None
-                               else np.float64)
-            fill = np.zeros(self.frame_shape, dtype=self._dtype)
-        else:
-            fill = self._ring[(self._count - 1) % self.capacity]
-        self._gap_count += 1
-        return self.push(fill, observed=False)
+                self._allocate(np.float64)
+                fill = np.zeros(self.frame_shape, dtype=np.float64)
+            else:
+                fill = self._ring[(self._count - 1) % self.capacity]
+            self._gap_count += 1
+            count = self._advance(fill, observed=False)
+        if self.on_advance is not None:
+            self.on_advance(count)
+        return count
 
-    def extend(self, frames):
-        """Push a sequence of ticks (e.g. warm-up from stored history)."""
-        for frame in np.asarray(frames):
-            self.push(frame)
+    def _advance(self, frame, observed):
+        """Write one tick into the windows (caller holds the lock)."""
+        self._ring[self._count % self.capacity] = frame
+        self._imputed_ring[self._count % self.capacity] = not observed
+        # Rolling closeness: shift one slot left, newest frame last —
+        # matches Eq. (3)'s [i - L_c, ..., i - 1] ordering.
+        self._closeness[:-1] = self._closeness[1:]
+        self._closeness[-1] = frame
+        self._closeness_imputed[:-1] = self._closeness_imputed[1:]
+        self._closeness_imputed[-1] = not observed
+        self._count += 1
         return self._count
 
     # ------------------------------------------------------------------
+    def _require_ready(self):
+        if self._count < self.capacity:
+            raise ValueError(
+                f"window not ready: {self._count} of {self.capacity} "
+                "warm-up ticks observed")
+
     def _gather(self, lags):
         """Stack the ring frames at absolute indices ``next_index - lag``."""
         positions = (self._count - lags) % self.capacity
@@ -198,17 +213,15 @@ class WindowCache:
         how many of each sub-series' frames are carry-forward fills
         rather than observations.  All zeros on a clean stream.
         """
-        if not self.ready:
-            raise ValueError(
-                f"window not ready: {self._count} of {self.capacity} "
-                "warm-up ticks observed")
-        return {
-            "closeness": int(self._closeness_imputed.sum()),
-            "period": int(self._imputed_ring[
-                (self._count - self.period_lags) % self.capacity].sum()),
-            "trend": int(self._imputed_ring[
-                (self._count - self.trend_lags) % self.capacity].sum()),
-        }
+        with self._lock:
+            self._require_ready()
+            return {
+                "closeness": int(self._closeness_imputed.sum()),
+                "period": int(self._imputed_ring[
+                    (self._count - self.period_lags) % self.capacity].sum()),
+                "trend": int(self._imputed_ring[
+                    (self._count - self.trend_lags) % self.capacity].sum()),
+            }
 
     def sample(self):
         """The size-1 :class:`SampleBatch` forecasting :attr:`next_index`.
@@ -220,15 +233,13 @@ class WindowCache:
         the target index.  The arrays are copies; callers may hold them
         across subsequent :meth:`push` calls.
         """
-        if not self.ready:
-            raise ValueError(
-                f"window not ready: {self._count} of {self.capacity} "
-                "warm-up ticks observed")
-        i = self._count
-        return SampleBatch(
-            closeness=self._closeness.copy()[None],
-            period=self._gather(self.period_lags)[None],
-            trend=self._gather(self.trend_lags)[None],
-            target=np.zeros((1,) + self.frame_shape, dtype=self._dtype),
-            indices=np.array([i]),
-        )
+        with self._lock:
+            self._require_ready()
+            return SampleBatch(
+                closeness=self._closeness.copy()[None],
+                period=self._gather(self.period_lags)[None],
+                trend=self._gather(self.trend_lags)[None],
+                target=np.zeros((1,) + self.frame_shape,
+                                dtype=self._ring.dtype),
+                indices=np.array([self._count]),
+            )

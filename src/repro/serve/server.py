@@ -11,8 +11,10 @@ and embedding applications use.  It composes the serving subsystem:
   single-core hosts;
 - optionally a :class:`~repro.serve.cache.WindowCache` maintaining the
   rolling closeness/period/trend windows of a live flow stream
-  (``periodicity`` given), so ``push_tick`` + ``forecast_next`` serve
-  next-interval forecasts without re-slicing history;
+  (``periodicity`` given), so ``push_tick`` + ``forecast_tick`` serve
+  next-interval forecasts without re-slicing history.  The cache keeps
+  frames as pushed (raw flows when the server has a scaler); a forecast
+  scales the sample it takes once;
 - optionally a :class:`~repro.serve.results.ForecastCache` memoizing
   completed streaming forecasts per ``(target index, generation)`` with
   single-flight dedup (``result_cache >= 1``), invalidated on every
@@ -122,13 +124,13 @@ class ForecastServer:
     config:
         A :class:`ServeConfig`; defaults apply when omitted.
     scaler:
-        Optional fitted :class:`~repro.data.scaler.MinMaxScaler`;
-        enables :meth:`forecast_flows` (flow units) and makes
-        :meth:`push_tick` accept raw flows.
+        Optional fitted :class:`~repro.data.scaler.MinMaxScaler`; makes
+        the streaming API take raw flows: pushed frames are cached raw
+        and each sample is scaled when a forecast takes it.
     periodicity:
         Optional :class:`~repro.data.periodicity.MultiPeriodicity`;
         enables the streaming API (:meth:`push_tick` /
-        :meth:`forecast_next`) through a :class:`WindowCache`.
+        :meth:`forecast_tick`) through a :class:`WindowCache`.
     frame_shape:
         Frame shape for the stream cache, e.g. ``(2, H, W)``; required
         with ``periodicity``.
@@ -148,14 +150,11 @@ class ForecastServer:
         self.stats = LatencyStats()
         self._forward_lock = sanitizer.create_lock("ForecastServer._forward_lock")
         self._generation = 0
-        # Staleness / degraded-mode telemetry (repro.stream): a stream
-        # clock counting ticks observed, the clock value when the
-        # serving weights were installed, and an operator flag naming
-        # why the model's answers are currently suspect (drift
-        # confirmed, retrain in flight, swap failed, ...).
+        # Staleness telemetry: a stream clock counting live ticks
+        # (push_tick/push_gap) and its value when the serving weights
+        # were installed.
         self._ticks_seen = 0
         self._generation_tick = 0
-        self._degraded_reason = None
         self._pool = None
         self._compiler = None
         if self.config.compile:
@@ -174,8 +173,7 @@ class ForecastServer:
         if periodicity is not None:
             if frame_shape is None:
                 raise ValueError("periodicity requires frame_shape")
-            self.cache = WindowCache(periodicity, frame_shape,
-                                     dtype=self._dtype)
+            self.cache = WindowCache(periodicity, frame_shape)
             # Every clock advance (tick or gap) obsoletes memoized
             # forecasts for older target indices.
             if self.results is not None:
@@ -261,25 +259,17 @@ class ForecastServer:
         """Blocking scaled-space forecast for ``batch``."""
         return self.submit(batch).result()
 
-    def forecast_flows(self, batch: SampleBatch):
-        """Blocking forecast mapped back to flow units."""
-        if self.scaler is None:
-            raise ValueError("forecast_flows needs a fitted scaler")
-        return self.scaler.inverse_transform(self.forecast(batch))
-
     # ------------------------------------------------------------------
     # Streaming API
     # ------------------------------------------------------------------
     def push_tick(self, frame):
         """Observe one stream tick; returns ticks seen so far.
 
-        With a ``scaler``, ``frame`` is raw flows and is scaled into
-        model space; otherwise it must already be scaled.
+        With a ``scaler``, ``frame`` is raw flows (cached raw, scaled
+        at sample time); otherwise it must already be scaled.
         """
         if self.cache is None:
             raise ValueError("streaming needs periodicity + frame_shape")
-        if self.scaler is not None:
-            frame = self.scaler.transform(frame)
         self._ticks_seen += 1
         return self.cache.push(frame)
 
@@ -290,37 +280,40 @@ class ForecastServer:
         self._ticks_seen += 1
         return self.cache.push_gap()
 
+    @property
+    def staleness_ticks(self):
+        """Stream ticks observed since the serving weights were installed."""
+        return self._ticks_seen - self._generation_tick
+
     def _on_window_advance(self, count):
         """WindowCache callback: a clock advance obsoletes cached results."""
         self.results.invalidate("tick")
 
-    def note_tick(self):
-        """Advance the staleness clock without touching the cache.
+    def _next_sample(self):
+        """The cached sample for the next interval, in scaled space.
 
-        The stream runtime (:mod:`repro.stream`) maintains its own
-        raw-frame :class:`WindowCache` and uses the server only for
-        forwards and hot swaps; it calls this per ingested tick so
-        :attr:`staleness_ticks` still measures weight age.
+        With a scaler the cache holds raw frames; scaling the whole
+        sample here equals scaling each frame at push time bitwise
+        (min-max scaling is elementwise with global bounds).  The cast
+        to the model dtype is left to :meth:`_forward`.
         """
-        self._ticks_seen += 1
-        return self._ticks_seen
-
-    def forecast_next(self):
-        """Forecast the next unobserved interval from the cached windows.
-
-        Returns ``(prediction, index)`` — the scaled ``(2, H, W)``
-        forecast and the target interval index it is for.  The array is
-        a private writable copy; for the zero-copy shared path use
-        :meth:`forecast_tick`.
-        """
-        prediction, index, _generation = self.forecast_tick()
-        return prediction.copy(), index
+        sample = self.cache.sample()
+        if self.scaler is None:
+            return sample
+        closeness = self.scaler.transform(sample.closeness)
+        return SampleBatch(
+            closeness=closeness,
+            period=self.scaler.transform(sample.period),
+            trend=self.scaler.transform(sample.trend),
+            target=np.zeros_like(sample.target, dtype=closeness.dtype),
+            indices=sample.indices)
 
     def forecast_tick(self):
         """Next-interval forecast through the forecast result cache.
 
-        Returns ``(prediction, index, generation)``.  With the result
-        cache enabled, concurrent requests for the same ``(index,
+        Returns ``(prediction, index, generation)``: the scaled ``(2, H,
+        W)`` forecast, the target interval it is for, and the weights'
+        generation.  With the result cache enabled, concurrent requests for the same ``(index,
         generation)`` cost exactly **one** model forward: the first
         requester owns the forward, everyone else joins its future, and
         later requests hit the memo — all receiving the *same*
@@ -334,7 +327,7 @@ class ForecastServer:
         if self.cache is None:
             raise ValueError("streaming needs periodicity + frame_shape")
         if self.results is None:
-            sample = self.cache.sample()
+            sample = self._next_sample()
             return (self.forecast(sample)[0], int(sample.indices[0]),
                     self.generation)
         # Read the generation BEFORE the forward: the key must name the
@@ -353,7 +346,7 @@ class ForecastServer:
         if kind == "join":
             return token.result(), index, generation
         try:
-            sample = self.cache.sample()
+            sample = self._next_sample()
             if int(sample.indices[0]) != index:
                 # The clock advanced between the lookup and the window
                 # snapshot; the sampled windows target a newer index, so
@@ -369,17 +362,6 @@ class ForecastServer:
         store = self.generation == generation
         value = self.results.complete(key, prediction, store=store)
         return value, index, generation
-
-    def forecast_cell(self, row, col):
-        """Next-interval in/outflow forecast for one grid cell.
-
-        Returns ``(values, index, generation)`` with ``values`` the
-        ``(2,)`` scaled in/outflow pair, sliced from the *shared*
-        cached full-grid forecast — N cells at one tick cost one model
-        forward, not N.
-        """
-        prediction, index, generation = self.forecast_tick()
-        return prediction[:, int(row), int(col)].copy(), index, generation
 
     # ------------------------------------------------------------------
     # Checkpoint hot swap
@@ -448,32 +430,6 @@ class ForecastServer:
         return self._pool.scale_to(replicas)
 
     # ------------------------------------------------------------------
-    # Staleness / degraded mode (repro.stream)
-    # ------------------------------------------------------------------
-    @property
-    def staleness_ticks(self):
-        """Stream ticks observed since the serving weights were installed."""
-        return self._ticks_seen - self._generation_tick
-
-    @property
-    def degraded(self):
-        """The active degradation reason, or ``None`` when healthy."""
-        return self._degraded_reason
-
-    def mark_degraded(self, reason):
-        """Flag the model's answers as suspect (e.g. confirmed drift).
-
-        The server keeps answering — degradation is a *telemetry* state
-        consumed by the stream runtime's fallback ladder, not a refusal
-        to serve.  ``reason`` names why (shown in :meth:`snapshot`).
-        """
-        self._degraded_reason = str(reason)
-
-    def clear_degraded(self):
-        """Clear the degradation flag (e.g. after a successful swap)."""
-        self._degraded_reason = None
-
-    # ------------------------------------------------------------------
     def snapshot(self):
         """JSON-able serving telemetry (latency stats + configuration)."""
         snap = self.stats.snapshot()
@@ -483,7 +439,6 @@ class ForecastServer:
             "max_batch": self.config.max_batch,
             "max_wait_ms": self.config.max_wait_ms,
             "staleness_ticks": self.staleness_ticks,
-            "degraded": self._degraded_reason,
         })
         if self._pool is not None:
             snap["shared_mib"] = round(self._pool.shared_bytes / 2**20, 3)

@@ -10,8 +10,8 @@ serving stack into a runtime that survives all of that:
   quarantine, gap declaration (:mod:`repro.stream.ingest`);
 - :class:`DriftSentinel` — EMA + CUSUM separation of sustained drift
   from transient spikes (:mod:`repro.stream.drift`);
-- :class:`StreamingHistoricalAverage` / :class:`StreamingPersistence`
-  — the graceful-degradation forecasters (:mod:`repro.stream.degrade`);
+- :class:`StreamingHistoricalAverage` — the climatology rung of the
+  graceful-degradation ladder (:mod:`repro.stream.degrade`);
 - :class:`StreamRuntime` — the facade tying ingestion, rolling
   windows, drift monitoring, warm re-training, and the fallback ladder
   together around a :class:`~repro.serve.server.ForecastServer`
@@ -21,7 +21,7 @@ serving stack into a runtime that survives all of that:
 """
 
 from repro.stream.adapt import AdaptationConfig, AdaptationError, warm_retrain
-from repro.stream.degrade import StreamingHistoricalAverage, StreamingPersistence
+from repro.stream.degrade import StreamingHistoricalAverage
 from repro.stream.drift import DriftSentinel
 from repro.stream.ingest import StreamIngestor
 from repro.stream.runtime import StreamConfig, StreamRuntime
@@ -37,7 +37,6 @@ __all__ = [
     "StreamIngestor",
     "StreamRuntime",
     "StreamingHistoricalAverage",
-    "StreamingPersistence",
     "Tick",
     "warm_retrain",
 ]

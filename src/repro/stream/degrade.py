@@ -2,11 +2,11 @@
 
 When the model is stale, mid-retrain, or a swap just failed, the
 server must still answer — with an honest, cheaper estimate rather
-than a silent error or a suspect neural forecast.  These are the
-streaming counterparts of :mod:`repro.baselines.naive`: the batch
-baselines re-slice a full offline history per call, while these
-maintain O(1) state per tick and never look at more than the current
-frame.
+than a silent error or a suspect neural forecast.
+:class:`StreamingHistoricalAverage` is the streaming counterpart of
+:mod:`repro.baselines.naive`'s historical average: the batch baseline
+re-slices a full offline history per call, while this keeps O(1) state
+per tick and never looks at more than the current frame.
 
 The ladder (:class:`~repro.stream.runtime.StreamRuntime` walks it top
 to bottom, serving the first ready rung):
@@ -14,8 +14,8 @@ to bottom, serving the first ready rung):
 1. the neural model — healthy weights, warm windows;
 2. :class:`StreamingHistoricalAverage` — per time-of-day-slot EMA of
    observed frames: knows the diurnal shape, blind to this morning;
-3. :class:`StreamingPersistence` — the last observed frame: blind to
-   everything but one tick old at most;
+3. persistence — the last observed frame, read from the server's
+   window cache: blind to everything but one tick old at most;
 4. zeros — only before the very first observation.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StreamingHistoricalAverage", "StreamingPersistence"]
+__all__ = ["StreamingHistoricalAverage"]
 
 
 class StreamingHistoricalAverage:
@@ -71,27 +71,3 @@ class StreamingHistoricalAverage:
             raise ValueError(
                 f"no observations yet for time-of-day slot {slot}")
         return self._slots[slot].copy()
-
-
-class StreamingPersistence:
-    """Forecast = the last observed frame (one-tick memory)."""
-
-    def __init__(self, frame_shape):
-        self.frame_shape = tuple(int(s) for s in frame_shape)
-        self._last = None
-
-    def update(self, frame):
-        """Record the newest observed frame."""
-        self._last = np.asarray(frame, dtype=np.float64).copy()
-        return self
-
-    @property
-    def ready(self):
-        """Whether any frame has been observed."""
-        return self._last is not None
-
-    def predict(self):
-        """The last observed frame (copy); raises before any update."""
-        if self._last is None:
-            raise ValueError("no frame observed yet")
-        return self._last.copy()

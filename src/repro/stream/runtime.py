@@ -5,10 +5,11 @@ a :class:`~repro.serve.server.ForecastServer`:
 
 - ticks enter through a :class:`~repro.stream.ingest.StreamIngestor`
   (watermark reordering, quarantine, gap declaration);
-- ordered intervals maintain a **raw-frame**
-  :class:`~repro.serve.cache.WindowCache` plus the bounded rolling
-  history the warm-retrain path fits on.  Frames are cached raw and
-  scaled at sample-assembly time: min-max scaling is elementwise, so
+- ordered intervals go into the server's
+  :class:`~repro.serve.cache.WindowCache` (``push_tick``/``push_gap``)
+  and the bounded rolling history the warm-retrain path fits on.  The
+  server holds the runtime's scaler, so the cache keeps raw frames and
+  each forecast scales its sample: min-max scaling is elementwise, so
   transform-then-slice and slice-then-transform are bitwise identical
   — and caching raw keeps every cached window valid when adaptation
   widens the scaler bounds mid-stream;
@@ -37,13 +38,11 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.data.windows import SampleBatch
 from repro.metrics import rmse
-from repro.serve.cache import WindowCache
 from repro.serve.server import ForecastServer, ServeConfig
 from repro.stream import adapt as adaptation
 from repro.stream.adapt import AdaptationConfig, AdaptationError, warm_retrain
-from repro.stream.degrade import StreamingHistoricalAverage, StreamingPersistence
+from repro.stream.degrade import StreamingHistoricalAverage
 from repro.stream.drift import DriftSentinel
 from repro.stream.ingest import StreamIngestor
 from repro.stream.ticks import Tick
@@ -123,36 +122,36 @@ class StreamRuntime:
     checkpoint_dir:
         Where retrain checkpoints are written before the hot swap;
         required for warm re-training.
-    serve_config:
-        Optional :class:`~repro.serve.server.ServeConfig`; must keep
-        ``replicas=0`` (warm restarts seed from the in-process
-        serving weights).
     """
 
     def __init__(self, model, scaler, periodicity, frame_shape,
                  samples_per_day, config: StreamConfig = None,
-                 model_factory=None, checkpoint_dir=None,
-                 serve_config: ServeConfig = None):
+                 model_factory=None, checkpoint_dir=None):
         self.config = config if config is not None else StreamConfig()
-        if serve_config is None:
-            serve_config = ServeConfig(max_wait_ms=0.0)
-        if serve_config.replicas != 0:
-            raise ValueError(
-                "StreamRuntime requires replicas=0: warm re-training "
-                "seeds candidates from the in-process serving weights")
         self.scaler = scaler
         self.periodicity = periodicity
         self.frame_shape = tuple(int(s) for s in frame_shape)
         self.model_factory = model_factory
         self.checkpoint_dir = checkpoint_dir
-        self.server = ForecastServer(model, serve_config)
+        # In-process forwards (warm retrains seed from the serving
+        # weights), no forward wait and no result memo.  One sample per
+        # forward: a coalesced batch rounds differently from the
+        # offline single-sample forward, so concurrent forecasts would
+        # lose the clean-stream bit identity.
+        self.server = ForecastServer(
+            model, ServeConfig(max_batch=1, max_wait_ms=0.0,
+                               result_cache=0),
+            scaler=scaler, periodicity=periodicity,
+            frame_shape=frame_shape)
         self.ingestor = StreamIngestor(frame_shape)
-        self.cache = WindowCache(periodicity, frame_shape, dtype=np.float64)
         self.history = deque(maxlen=HISTORY)
         self.drift = DriftSentinel()
         self.hist_avg = StreamingHistoricalAverage(samples_per_day,
                                                    frame_shape)
-        self.persistence = StreamingPersistence(frame_shape)
+        # Why the model's answers are currently suspect (drift
+        # confirmed, retrain in flight, swap failed, operator hold), or
+        # None; while set, forecasts come from the fallback ladder.
+        self._degraded_reason = None
         self._last_model_forecast = None  # (index, flows) awaiting truth
         self._adapt_cooldown = 0
         # Probation state: the pre-drift error level to recover to,
@@ -192,19 +191,19 @@ class StreamRuntime:
 
         ``flows`` is the raw ``(T, 2, H, W)`` tail the model trained
         on; interval ``i`` of the stream clock is ``flows[i]``.  Must
-        be called before any tick is ingested.  Warm-start frames do
-        not age the weights (:attr:`ForecastServer.staleness_ticks`
-        stays 0 — the model has already seen them).
+        be called before any tick is ingested.  Warm-start frames go
+        straight into the server's cache, so they do not age the
+        weights (:attr:`ForecastServer.staleness_ticks` stays 0 — the
+        model has already seen them).
         """
-        if self.cache.count or self.ingestor.next_index:
+        if self.server.cache.count or self.ingestor.next_index:
             raise RuntimeError("warm_start must precede any ingestion")
         flows = np.asarray(flows, dtype=np.float64)
         for index in range(len(flows)):
             frame = flows[index]
-            self.cache.push(frame)
+            self.server.cache.push(frame)
             self.history.append(frame.copy())
             self.hist_avg.update(index, frame)
-            self.persistence.update(frame)
         self.ingestor = StreamIngestor(self.frame_shape,
                                        start_index=len(flows))
         return self
@@ -234,24 +233,21 @@ class StreamRuntime:
 
     def _apply(self, kind, index, frame):
         """Advance the stream clock by one ordered interval."""
-        self.server.note_tick()
         if kind == "gap":
-            self.cache.push_gap()
-            fill = self.cache.last_frame
-            self.history.append(fill)
-            # Climatology and persistence track *observations* only: a
-            # carry-forward fill teaches them nothing.
+            self.server.push_gap()
+            self.history.append(self.server.cache.last_frame)
+            # Climatology tracks *observations* only: a carry-forward
+            # fill teaches it nothing.
         else:
             frame = self._mask_fill(frame)
             self._score(index, frame)
-            self.cache.push(frame)
+            self.server.push_tick(frame)
             self.history.append(frame.copy())
             self.hist_avg.update(index, frame)
-            self.persistence.update(frame)
         if self._adapt_cooldown > 0:
             self._adapt_cooldown -= 1
             if (self._adapt_cooldown == 0 and self.config.auto_adapt
-                    and self.server.degraded is not None):
+                    and self._degraded_reason is not None):
                 self.adapt()
 
     def _mask_fill(self, frame):
@@ -260,7 +256,7 @@ class StreamRuntime:
         if not mask.any():
             return frame
         self.masked_cells += int(mask.sum())
-        base = self.cache.last_frame
+        base = self.server.cache.last_frame
         if base is None:
             base = np.zeros(self.frame_shape)
         return np.where(mask, base, frame)
@@ -294,7 +290,7 @@ class StreamRuntime:
                 # confirmed would fit on a window that barely contains
                 # the new regime.  The fallback ladder answers in the
                 # meantime.
-                self.server.mark_degraded(
+                self.mark_degraded(
                     f"drift confirmed at tick {index} "
                     f"(cusum {self.drift.cusum:.2f})")
                 self._adapt_cooldown = adaptation.FRESH_TICKS
@@ -314,11 +310,32 @@ class StreamRuntime:
             # than retraining forever on the same window).
             self._recovery_target = None
             return
-        self.server.mark_degraded(
+        self.mark_degraded(
             f"recovery insufficient: post-swap error {mean_error:.3f} > "
             f"target {self._recovery_target:.3f} "
             f"(round {self._adapt_rounds}/{MAX_ADAPT_ROUNDS})")
         self._adapt_cooldown = adaptation.FRESH_TICKS
+
+    # ------------------------------------------------------------------
+    # Degraded mode
+    # ------------------------------------------------------------------
+    @property
+    def degraded(self):
+        """The active degradation reason, or ``None`` when healthy."""
+        return self._degraded_reason
+
+    def mark_degraded(self, reason):
+        """Route forecasts to the fallback ladder (e.g. confirmed drift).
+
+        The server keeps its weights and keeps answering direct
+        requests; ``reason`` is attached to every ladder answer and
+        shown in :meth:`telemetry`.
+        """
+        self._degraded_reason = str(reason)
+
+    def clear_degraded(self):
+        """Return forecasts to the model (e.g. after a successful swap)."""
+        self._degraded_reason = None
 
     # ------------------------------------------------------------------
     # Forecasting
@@ -329,44 +346,32 @@ class StreamRuntime:
         Never raises on a degraded stack: the answer always comes from
         the best rung currently able to answer, with provenance.
         """
-        index = self.cache.next_index
+        cache = self.server.cache
+        index = cache.next_index
         reason = None
-        if not self.cache.ready:
+        if not cache.ready:
             reason = "warmup: windows not yet populated"
-        elif self.server.degraded is not None:
-            reason = self.server.degraded
+        elif self._degraded_reason is not None:
+            reason = self._degraded_reason
         if reason is None:
-            flows = self._model_forecast()
+            prediction, index, generation = self.server.forecast_tick()
+            flows = self.scaler.inverse_transform(prediction)
             self._last_model_forecast = (index, flows)
             return ForecastResult(
                 index=index, flows=flows, source="model",
                 staleness=self.server.staleness_ticks,
-                generation=self.server.generation,
-                imputed=self.cache.imputed_counts())
+                generation=generation, imputed=cache.imputed_counts())
         return self._fallback(index, reason)
-
-    def _model_forecast(self):
-        """Scaled forward through the server on the raw windows."""
-        sample = self.cache.sample()
-        closeness = self.scaler.transform(sample.closeness)
-        scaled = SampleBatch(
-            closeness=closeness,
-            period=self.scaler.transform(sample.period),
-            trend=self.scaler.transform(sample.trend),
-            # The target is the unobserved interval being forecast; a
-            # zero placeholder in the transform dtype keeps the batch
-            # homogeneous without inventing values.
-            target=np.zeros_like(sample.target, dtype=closeness.dtype),
-            indices=sample.indices)
-        prediction = self.server.forecast(scaled)[0]
-        return self.scaler.inverse_transform(prediction)
 
     def _fallback(self, index, reason):
         """Walk the degradation ladder below the model."""
+        cache = self.server.cache
         if self.hist_avg.ready(index):
             source, flows = "historical_average", self.hist_avg.predict(index)
-        elif self.persistence.ready:
-            source, flows = "persistence", self.persistence.predict()
+        elif cache.count > cache.gap_count:
+            # Persistence: the last observed frame (a gap fill carries
+            # it forward, so the newest cached frame is that frame).
+            source, flows = "persistence", cache.last_frame
         else:
             source, flows = "zeros", np.zeros(self.frame_shape)
         self.fallbacks[source] = self.fallbacks.get(source, 0) + 1
@@ -384,7 +389,7 @@ class StreamRuntime:
         Returns ``True`` on a completed swap.  Every failure mode —
         missing factory/checkpoint dir, short history, divergence,
         failed validation gate, corrupt checkpoint, swap error — lands
-        in :attr:`retrain_failures`, leaves the server degraded, and
+        in :attr:`retrain_failures`, leaves the runtime degraded, and
         schedules a retry; it never propagates to the caller.
         """
         started = perf_counter()
@@ -392,7 +397,7 @@ class StreamRuntime:
             if self.model_factory is None or self.checkpoint_dir is None:
                 raise AdaptationError(
                     "adaptation needs model_factory and checkpoint_dir")
-            self.server.mark_degraded("retraining")
+            self.mark_degraded("retraining")
             path = os.path.join(self.checkpoint_dir, "stream-retrain.npz")
             path, _history, candidate_rmse, serving_rmse = warm_retrain(
                 self.server.model, self.model_factory,
@@ -404,14 +409,14 @@ class StreamRuntime:
                 raise AdaptationError(f"hot swap failed: {error}") from error
         except AdaptationError as error:
             self.retrain_failures.append(str(error))
-            self.server.mark_degraded(f"retrain failed: {error}")
+            self.mark_degraded(f"retrain failed: {error}")
             self._adapt_cooldown = ADAPT_RETRY
             return False
         finally:
             self.retrain_s += perf_counter() - started
         self.retrains += 1
         self._adapt_rounds += 1
-        self.server.clear_degraded()
+        self.clear_degraded()
         self.drift.rearm()
         self._last_model_forecast = None
         # Open the probation window: the next scored errors decide
@@ -423,17 +428,19 @@ class StreamRuntime:
     # ------------------------------------------------------------------
     def telemetry(self):
         """JSON-able runtime state across every subsystem."""
+        cache = self.server.cache
         return {
             "ingest": self.ingestor.telemetry(),
             "drift": self.drift.report(),
             "drift_events": list(self.drift_events),
+            "degraded": self._degraded_reason,
             "serve": self.server.snapshot(),
             "cache": {
-                "count": self.cache.count,
-                "ready": self.cache.ready,
-                "gap_count": self.cache.gap_count,
-                "imputed": (self.cache.imputed_counts()
-                            if self.cache.ready else None),
+                "count": cache.count,
+                "ready": cache.ready,
+                "gap_count": cache.gap_count,
+                "imputed": (cache.imputed_counts()
+                            if cache.ready else None),
             },
             "history_len": len(self.history),
             "masked_cells": self.masked_cells,

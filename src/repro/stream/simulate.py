@@ -242,8 +242,8 @@ def run_scenario(scenario: StreamScenario, runtime: StreamRuntime):
     pending = {}
 
     def forecast_frontier():
-        index = runtime.cache.next_index
-        if runtime.cache.count and index not in pending and index < len(flows):
+        index = runtime.server.cache.next_index
+        if index and index not in pending and index < len(flows):
             pending[index] = runtime.forecast()
 
     forecast_frontier()

@@ -212,34 +212,6 @@ class TestServerResultCache:
         finally:
             server.close()
 
-    def test_forecast_cell_slices_the_shared_grid(self, tiny_data):
-        model = CountingForecaster(tiny_data)
-        server, _flows = streaming_server(model, tiny_data)
-        try:
-            grid, index, generation = server.forecast_tick()
-            model.forwards = 0
-            for row in range(grid.shape[1]):
-                for col in range(grid.shape[2]):
-                    values, i, g = server.forecast_cell(row, col)
-                    assert i == index and g == generation
-                    assert np.array_equal(values, grid[:, row, col])
-                    values[...] = -1.0  # returned slice is a private copy
-            assert model.forwards == 0  # every cell served from the memo
-        finally:
-            server.close()
-
-    def test_forecast_next_returns_a_writable_copy(self, tiny_data):
-        server, _flows = streaming_server(TinyForecaster(tiny_data),
-                                          tiny_data)
-        try:
-            prediction, _index = server.forecast_next()
-            assert prediction.flags.writeable
-            shared, _i, _g = server.forecast_tick()
-            assert np.array_equal(prediction, shared)
-            assert prediction is not shared
-        finally:
-            server.close()
-
     def test_snapshot_cache_counters(self, tiny_data):
         server, _flows = streaming_server(TinyForecaster(tiny_data),
                                           tiny_data)

@@ -51,14 +51,6 @@ class TestServedEqualsOffline:
         for (lo, hi), got in zip(spans, rows):
             assert np.allclose(got, offline[lo:hi], atol=1e-12)
 
-    def test_forecast_flows_inverts_the_scaler(self, tiny_model, tiny_data):
-        test = tiny_data.test
-        with ForecastServer(tiny_model, scaler=tiny_data.scaler) as server:
-            flows = server.forecast_flows(test.slice(0, 2))
-        expected = tiny_data.inverse(offline_reference(tiny_model,
-                                                       test.slice(0, 2)))
-        assert np.allclose(flows, expected, atol=1e-9)
-
 
 class TestHotSwap:
     def _checkpoint(self, model, path):
@@ -134,27 +126,43 @@ class TestHotSwap:
 
 
 class TestStreaming:
-    def test_push_tick_forecast_next_matches_offline_assembly(
-            self, tiny_model, tiny_data):
+    def test_raw_frames_match_offline_at_every_index(self, tiny_data):
+        # A scaler-equipped server caches the raw frames it is pushed
+        # and scales each sample when a forecast takes it.  At every
+        # index that must equal scaling the whole history first, then
+        # assembling and casting to the model dtype — bitwise, for
+        # float64 and float32 models alike.
         p = tiny_data.periodicity
-        flows = tiny_data.scaler.transform(tiny_data.dataset.flows)
-        frame_shape = flows.shape[1:]
-        ticks = p.min_index + 3
-        with ForecastServer(tiny_model, periodicity=p,
-                            frame_shape=frame_shape) as server:
-            for frame in flows[:ticks]:
-                server.push_tick(frame)
-            prediction, index = server.forecast_next()
-        assert index == ticks
-        reference = tiny_model.predict(build_samples(flows, p, [ticks]))
-        assert np.allclose(prediction, reference[0], atol=1e-12)
+        flows = tiny_data.dataset.flows
+        scaled = tiny_data.scaler.transform(flows)
+        for dtype in (np.float64, np.float32):
+            model = TinyForecaster(tiny_data)
+            for param in model.parameters():
+                param.data = param.data.astype(dtype)
+            checked = 0
+            with ForecastServer(model, ServeConfig(max_wait_ms=0.0),
+                                scaler=tiny_data.scaler, periodicity=p,
+                                frame_shape=flows.shape[1:]) as server:
+                for frame in flows[:-1]:
+                    index = server.push_tick(frame)
+                    if index < p.min_index:
+                        continue
+                    prediction, got, _generation = server.forecast_tick()
+                    assert got == index
+                    offline = model.predict(build_samples(
+                        scaled, p, [index]).astype(dtype))[0]
+                    assert prediction.dtype == dtype
+                    assert np.array_equal(prediction, offline), (dtype,
+                                                                 index)
+                    checked += 1
+            assert checked == len(flows) - p.min_index
 
     def test_streaming_without_periodicity_raises(self, tiny_model):
         with ForecastServer(tiny_model) as server:
             with pytest.raises(ValueError, match="periodicity"):
                 server.push_tick(np.zeros((2, 2, 2)))
             with pytest.raises(ValueError, match="periodicity"):
-                server.forecast_next()
+                server.forecast_tick()
 
 
 class TestLifecycleAndTelemetry:

@@ -1,5 +1,7 @@
 """WindowCache: incremental assembly must be bit-identical to build_samples."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ def make_periodicity():
     """Short lags so the stream crosses many period/trend boundaries."""
     return MultiPeriodicity(len_closeness=3, len_period=2, len_trend=2,
                             samples_per_day=8, trend_lag=24)
+
+
+def push_all(cache, frames):
+    for frame in frames:
+        cache.push(frame)
 
 
 class TestWindowCache:
@@ -44,19 +51,6 @@ class TestWindowCache:
             cache.push(flows[i])
         assert checked == 60
 
-    def test_extend_warmup_matches_per_tick_pushes(self):
-        p = make_periodicity()
-        flows = make_stream(p.min_index + 5, seed=3)
-        bulk = WindowCache(p, FRAME_SHAPE)
-        assert bulk.extend(flows) == len(flows)
-        ticked = WindowCache(p, FRAME_SHAPE)
-        for frame in flows:
-            ticked.push(frame)
-        a, b = bulk.sample(), ticked.sample()
-        assert np.array_equal(a.closeness, b.closeness)
-        assert np.array_equal(a.period, b.period)
-        assert np.array_equal(a.trend, b.trend)
-
     def test_sample_before_warmup_raises(self):
         p = make_periodicity()
         cache = WindowCache(p, FRAME_SHAPE)
@@ -70,10 +64,10 @@ class TestWindowCache:
         p = make_periodicity()
         flows = make_stream(p.min_index + 10, seed=5)
         cache = WindowCache(p, FRAME_SHAPE)
-        cache.extend(flows[:p.min_index])
+        push_all(cache, flows[:p.min_index])
         held = cache.sample()
         ref = build_samples(flows, p, [p.min_index])
-        cache.extend(flows[p.min_index:])
+        push_all(cache, flows[p.min_index:])
         assert np.array_equal(held.closeness, ref.closeness)
         assert np.array_equal(held.period, ref.period)
         assert np.array_equal(held.trend, ref.trend)
@@ -82,16 +76,18 @@ class TestWindowCache:
         p = make_periodicity()
         cache = WindowCache(p, FRAME_SHAPE)
         assert cache.next_index == 0
-        cache.extend(make_stream(7))
+        push_all(cache, make_stream(7))
         assert cache.next_index == cache.count == 7
 
     def test_dtype_and_target_placeholder(self):
+        # Frames are cached as pushed: no cast to any model dtype.
         p = make_periodicity()
         flows = make_stream(p.min_index, dtype=np.float32)
-        cache = WindowCache(p, FRAME_SHAPE, dtype=np.float32)
-        cache.extend(flows)
+        cache = WindowCache(p, FRAME_SHAPE)
+        push_all(cache, flows)
         sample = cache.sample()
         assert sample.closeness.dtype == np.float32
+        assert sample.target.dtype == np.float32
         assert sample.target.shape == (1,) + FRAME_SHAPE
         assert not sample.target.any()
 
@@ -99,6 +95,45 @@ class TestWindowCache:
         cache = WindowCache(make_periodicity(), FRAME_SHAPE)
         with pytest.raises(ValueError, match="frame shape"):
             cache.push(np.zeros((2, 4, 3)))
+
+    def test_sample_never_sees_a_half_applied_push(self):
+        # Pause a push after it has shifted the closeness window but
+        # before it bumps the count, then sample from another thread:
+        # the sample must wait for the push and hold one tick's windows,
+        # never the shifted closeness under the previous index.
+        p = make_periodicity()
+        flows = make_stream(p.min_index + 2, seed=6)
+        cache = WindowCache(p, FRAME_SHAPE)
+        push_all(cache, flows[:p.min_index])
+        paused, resume = threading.Event(), threading.Event()
+
+        class PauseAfterLastWrite(np.ndarray):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                if key == -1:  # the newest closeness flag: count is next
+                    paused.set()
+                    resume.wait(10.0)
+
+        cache._closeness_imputed = cache._closeness_imputed.view(
+            PauseAfterLastWrite)
+        pusher = threading.Thread(target=cache.push,
+                                  args=(flows[p.min_index],))
+        pusher.start()
+        assert paused.wait(10.0)
+        samples = []
+        sampler = threading.Thread(
+            target=lambda: samples.append(cache.sample()))
+        sampler.start()
+        sampler.join(0.2)  # a lock-free sample completes mid-push here
+        resume.set()
+        pusher.join(10.0)
+        sampler.join(10.0)
+        assert not pusher.is_alive() and not sampler.is_alive()
+        sample = samples[0]
+        ref = build_samples(flows, p, [int(sample.indices[0])])
+        assert np.array_equal(sample.closeness, ref.closeness)
+        assert np.array_equal(sample.period, ref.period)
+        assert np.array_equal(sample.trend, ref.trend)
 
 
 class TestGapContract:
@@ -146,7 +181,7 @@ class TestGapContract:
         # exactly like an observed tick, or every later lag shifts.
         p = make_periodicity()
         cache = WindowCache(p, FRAME_SHAPE)
-        cache.extend(make_stream(10, seed=1))
+        push_all(cache, make_stream(10, seed=1))
         assert cache.next_index == 10
         cache.push_gap()
         assert cache.next_index == 11
@@ -160,7 +195,7 @@ class TestGapContract:
         p = make_periodicity()  # L_c=3, L_p=2 @ lag 8, L_t=2 @ lag 24
         flows = make_stream(p.min_index + 50, seed=2)
         cache = WindowCache(p, FRAME_SHAPE)
-        cache.extend(flows[:p.min_index])
+        push_all(cache, flows[:p.min_index])
         gap_at = p.min_index
         cache.push_gap()
         for _ in range(48):
@@ -173,7 +208,7 @@ class TestGapContract:
 
     def test_gap_before_first_observation_fills_zeros(self):
         p = make_periodicity()
-        cache = WindowCache(p, FRAME_SHAPE, dtype=np.float64)
+        cache = WindowCache(p, FRAME_SHAPE)
         cache.push_gap()
         assert cache.count == 1
         assert np.array_equal(cache.last_frame, np.zeros(FRAME_SHAPE))
@@ -181,7 +216,7 @@ class TestGapContract:
     def test_clean_stream_reports_zero_imputed(self):
         p = make_periodicity()
         cache = WindowCache(p, FRAME_SHAPE)
-        cache.extend(make_stream(p.min_index, seed=4))
+        push_all(cache, make_stream(p.min_index, seed=4))
         assert cache.imputed_counts() == {"closeness": 0, "period": 0,
                                           "trend": 0}
         assert cache.gap_count == 0

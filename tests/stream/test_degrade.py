@@ -1,9 +1,9 @@
-"""Degradation-ladder forecasters: climatology and persistence."""
+"""Degradation-ladder forecaster: the streaming climatology."""
 
 import numpy as np
 import pytest
 
-from repro.stream import StreamingHistoricalAverage, StreamingPersistence
+from repro.stream import StreamingHistoricalAverage
 
 SHAPE = (2, 2, 2)
 
@@ -40,24 +40,3 @@ class TestHistoricalAverage:
             StreamingHistoricalAverage(0, SHAPE)
         with pytest.raises(ValueError, match="beta"):
             StreamingHistoricalAverage(4, SHAPE, beta=1.0)
-
-
-class TestPersistence:
-    def test_predicts_last_observed_frame(self):
-        p = StreamingPersistence(SHAPE)
-        assert not p.ready
-        p.update(np.full(SHAPE, 1.0))
-        p.update(np.full(SHAPE, 7.0))
-        assert p.ready
-        assert np.array_equal(p.predict(), np.full(SHAPE, 7.0))
-
-    def test_predict_before_any_update_raises(self):
-        with pytest.raises(ValueError, match="no frame"):
-            StreamingPersistence(SHAPE).predict()
-
-    def test_prediction_does_not_alias_the_input(self):
-        p = StreamingPersistence(SHAPE)
-        source = np.ones(SHAPE)
-        p.update(source)
-        source[:] = 0.0
-        assert np.array_equal(p.predict(), np.ones(SHAPE))

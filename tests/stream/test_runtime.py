@@ -4,12 +4,15 @@ Small geometry (2x2 grid, min_index 8) so every test runs a real model
 through the real server without the simulate-scale warmup cost.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import MuseConfig, MUSENet
 from repro.data import MinMaxScaler, MultiPeriodicity, build_samples
-from repro.serve.server import ServeConfig
 from repro.stream import (
     AdaptationConfig,
     StreamConfig,
@@ -90,6 +93,53 @@ class TestCleanStreamIdentity:
                 assert np.array_equal(result.flows, offline)
                 runtime.ingest(live_tick(flows, index))
 
+    def test_concurrent_forecasts_match_offline_bitwise(self):
+        # Client threads forecast while the main thread ingests: every
+        # model answer must come from one tick's windows and equal the
+        # offline forward at its own index, bitwise.
+        flows = make_flows(40)
+        warm = 20
+        runtime = make_runtime(flows[:warm],
+                               config=StreamConfig(auto_adapt=False))
+        trainer = Trainer(runtime.server.model)
+        scaled = runtime.scaler.transform(flows)
+        answers = []
+        start = threading.Barrier(4)
+
+        def client():
+            start.wait()
+            for _ in range(25):
+                answers.append(runtime.forecast())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-push
+        try:
+            with runtime:
+                clients = [threading.Thread(target=client)
+                           for _ in range(3)]
+                for thread in clients:
+                    thread.start()
+                start.wait()
+                for index in range(warm, len(flows) - 1):
+                    runtime.ingest(live_tick(flows, index))
+                    time.sleep(0.002)
+                for thread in clients:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == 75
+        assert all(result.source == "model" for result in answers)
+        offline = {}
+        for result in answers:
+            if result.index not in offline:
+                offline[result.index] = runtime.scaler.inverse_transform(
+                    np.asarray(trainer.predict_scaled(build_samples(
+                        scaled, runtime.periodicity, [result.index])))[0])
+            assert np.array_equal(result.flows, offline[result.index]), (
+                result.index)
+        assert len(offline) > 1  # the answers span several ticks
+
 
 class TestDegradationLadder:
     def test_ladder_walks_zeros_persistence_climatology(self):
@@ -116,16 +166,29 @@ class TestDegradationLadder:
             assert result.source == "historical_average"
             assert result.degraded
 
+    def test_gap_fill_alone_is_not_an_observation(self):
+        # Persistence answers from the cache's last frame only once a
+        # frame was observed: a gap before any tick fills zeros, and
+        # the bottom rung reports them as such.
+        flows = make_flows(4)
+        runtime = StreamRuntime(
+            make_model(), MinMaxScaler((-0.9, 0.9)).fit(flows),
+            make_periodicity(), SHAPE, SAMPLES_PER_DAY)
+        with runtime:
+            runtime.server.push_gap()
+            result = runtime.forecast()
+            assert (result.source, result.index) == ("zeros", 1)
+
     def test_degraded_flag_routes_to_ladder_and_back(self):
         flows = make_flows(24)
         runtime = make_runtime(flows[:20])
         with runtime:
             assert runtime.forecast().source == "model"
-            runtime.server.mark_degraded("maintenance window")
+            runtime.mark_degraded("maintenance window")
             result = runtime.forecast()
             assert result.source == "historical_average"
             assert result.reason == "maintenance window"
-            runtime.server.clear_degraded()
+            runtime.clear_degraded()
             assert runtime.forecast().source == "model"
 
     def test_staleness_ticks_counted_in_telemetry(self):
@@ -151,7 +214,7 @@ class TestFaultHandling:
             frame[1, 0, 0] = np.nan
             runtime.ingest(Tick(index=20, frame=frame))
             assert runtime.masked_cells == 2
-            filled = runtime.cache.last_frame
+            filled = runtime.server.cache.last_frame
             assert filled[0, 1, 1] == flows[19][0, 1, 1]
             assert filled[1, 0, 0] == flows[19][1, 0, 0]
             assert filled[0, 0, 0] == flows[20][0, 0, 0]
@@ -163,7 +226,7 @@ class TestFaultHandling:
             # 20 never arrives; 21 forces the gap declaration.
             applied = runtime.ingest(live_tick(flows, 21))
             assert applied == [("gap", 20), ("tick", 21)]
-            assert runtime.cache.gap_count == 1
+            assert runtime.server.cache.gap_count == 1
             result = runtime.forecast()
             assert result.source == "model"
             assert result.index == 22
@@ -174,10 +237,10 @@ class TestFaultHandling:
         flows = make_flows(24)
         runtime = make_runtime(flows[:20])
         with runtime:
-            before = runtime.cache.count
+            before = runtime.server.cache.count
             assert runtime.ingest(
                 Tick(index=20, frame=np.full(SHAPE, np.inf))) == []
-            assert runtime.cache.count == before
+            assert runtime.server.cache.count == before
             assert runtime.ingestor.counts["quarantined"] == 1
 
 
@@ -215,7 +278,7 @@ class TestAdaptation:
             assert runtime.retrains == 0
             assert any("hot swap failed" in f
                        for f in runtime.retrain_failures)
-            assert "retrain failed" in runtime.server.degraded
+            assert "retrain failed" in runtime.degraded
             result = runtime.forecast()
             assert result.degraded and result.source == "historical_average"
             assert runtime.server.generation == 0
@@ -223,7 +286,7 @@ class TestAdaptation:
             monkeypatch.undo()
             assert runtime.adapt() is True
             assert runtime.retrains == 1
-            assert runtime.server.degraded is None
+            assert runtime.degraded is None
             assert runtime.server.generation == 1
             assert runtime.forecast().source == "model"
             telemetry = runtime.telemetry()
@@ -287,13 +350,6 @@ class TestLifecycle:
             with pytest.raises(RuntimeError, match="warm_start"):
                 runtime.warm_start(flows[:20])
 
-    def test_replicas_rejected(self):
-        flows = make_flows(12)
-        with pytest.raises(ValueError, match="replicas"):
-            StreamRuntime(make_model(), MinMaxScaler().fit(flows),
-                          make_periodicity(), SHAPE, SAMPLES_PER_DAY,
-                          serve_config=ServeConfig(replicas=2))
-
     def test_telemetry_is_json_able_and_complete(self):
         import json
         flows = make_flows(24)
@@ -302,9 +358,10 @@ class TestLifecycle:
             runtime.ingest(live_tick(flows, 20))
             t = runtime.telemetry()
         json.dumps(t)
-        for key in ("ingest", "drift", "drift_events", "serve", "cache",
-                    "history_len", "masked_cells", "fallbacks",
-                    "retrains", "retrain_s", "retrain_failures"):
+        for key in ("ingest", "drift", "drift_events", "degraded",
+                    "serve", "cache", "history_len", "masked_cells",
+                    "fallbacks", "retrains", "retrain_s",
+                    "retrain_failures"):
             assert key in t
         assert t["serve"]["staleness_ticks"] == 1
         assert t["cache"]["count"] == 21
@@ -320,7 +377,7 @@ class TestLifecycle:
             runtime.ingest(live_tick(flows, 20))  # scored: drift
             runtime.ingest(live_tick(flows, 22))  # declares gap 21
             runtime.ingest(Tick(index=23, frame=np.full(SHAPE, np.inf)))
-            runtime.server.mark_degraded("operator hold")
+            runtime.mark_degraded("operator hold")
             runtime.forecast()
             t = runtime.telemetry()
         counts = t["ingest"]["counts"]

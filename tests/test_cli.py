@@ -75,8 +75,14 @@ class TestCommands:
                      "--out", str(out_file)]) == 0
         assert out_file.exists()
 
-    def test_train_unknown_method_exit_code(self, capsys):
-        assert main(["train", "ARIMA"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["train", "ARIMA"],
+        ["evaluate", "ARIMA", "--checkpoint", "does-not-exist.npz"],
+        ["serve", "ARIMA"],
+    ], ids=["train", "evaluate", "serve"])
+    def test_unknown_method_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unknown method 'ARIMA'" in capsys.readouterr().err
 
     def test_experiment_unknown_name_exit_code(self, capsys):
         assert main(["experiment", "table99"]) == 2
@@ -116,8 +122,9 @@ class TestOperationalErrors:
         assert "corrupt" in err
         assert "Traceback" not in err
 
-    def test_evaluate_empty_directory_exits_1(self, tmp_path, capsys):
-        assert main(["evaluate", "MUSE-Net", "--checkpoint",
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_empty_directory_exits_1(self, command, tmp_path, capsys):
+        assert main([command, "MUSE-Net", "--checkpoint",
                      str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
