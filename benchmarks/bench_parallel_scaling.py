@@ -139,7 +139,7 @@ def time_workers(scale, workers, steps):
                     gen.close()
                     break
             epoch += 1
-        telemetry = engine.telemetry()
+        telemetry = engine.snapshot()
     return {"steps_per_sec": 1.0 / statistics.median(times),
             "telemetry": telemetry}
 

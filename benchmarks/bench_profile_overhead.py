@@ -144,7 +144,7 @@ def main(argv=None):
         "tape_bytes_reduction_pct": reduction_pct,
         "tracemalloc_peak_freed_bytes": int(traced_freed),
         "tracemalloc_peak_retained_bytes": int(traced_retained),
-        "op_profile": prof.as_dict(),
+        "op_profile": prof.snapshot(),
     }
     with open(args.out, "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)

@@ -272,7 +272,7 @@ def check_socket(data, requests=8):
                 wire_pred, wire_index, _gen = client.forecast()
                 local_pred, local_index, _gen = server.forecast_tick()
                 diffs.append(float(np.abs(wire_pred - local_pred).max()))
-            telemetry = frontend.telemetry()
+            telemetry = frontend.snapshot()
     finally:
         server.close()
     max_diff = max(diffs)

@@ -62,7 +62,7 @@ def run_clean(seed=0, epochs=8):
                                     checkpoint_dir=ckpt, seed=seed)
         with runtime:
             results = sim.run_scenario(scenario, runtime)
-            telemetry = runtime.telemetry()
+            telemetry = runtime.snapshot()
 
     reference = sim.make_model(scenario.grid, scenario.periodicity, seed=seed)
     reference.load_state_dict(state)
@@ -105,7 +105,7 @@ def run_level_shift(seed=0, epochs=8):
                                         checkpoint_dir=ckpt, seed=seed)
             with runtime:
                 results = sim.run_scenario(scenario, runtime)
-                telemetry = runtime.telemetry()
+                telemetry = runtime.snapshot()
         report = sim.evaluate_results(scenario, results)
         pre, recovery = report["pre"], report["recovery"]
         ratio = (recovery["nrmse"] / pre["nrmse"]
@@ -116,7 +116,7 @@ def run_level_shift(seed=0, epochs=8):
             "recovery_nrmse": recovery["nrmse"] if recovery else None,
             "recovery_ratio": ratio,
             "sources": report["sources"],
-            "drifts": len(telemetry["drift_events"]),
+            "drifts": telemetry["drift"]["drifts"],
             "retrains": telemetry["retrains"],
             "retrain_failures": len(telemetry["retrain_failures"]),
             "retrain_s_total": telemetry["retrain_s"],
@@ -134,7 +134,7 @@ def run_fault(name, seed=0, epochs=8):
                                     checkpoint_dir=ckpt, seed=seed)
         with runtime:
             results = sim.run_scenario(scenario, runtime)
-            telemetry = runtime.telemetry()
+            telemetry = runtime.snapshot()
     report = sim.evaluate_results(scenario, results)
     return {
         "description": scenario.description,

@@ -173,7 +173,7 @@ def time_compiled(steps):
             start = perf_counter()
             compiled_step(compiler, parameters, optimizer, batch)
             times.append(perf_counter() - start)
-        report = compiler.report()
+        report = compiler.snapshot()
         with profile(after):
             for _ in range(2):
                 compiled_step(compiler, parameters, optimizer, batch)
@@ -217,7 +217,7 @@ def check_compiled_equivalence(steps):
         params = [p.data.copy() for p in parameters]
         grads = [None if p.grad is None else p.grad.copy()
                  for p in parameters]
-        report = compiler.report() if compiler is not None else None
+        report = compiler.snapshot() if compiler is not None else None
         return losses, params, grads, report
 
     eager_losses, eager_params, eager_grads, _ = run(compiled=False)

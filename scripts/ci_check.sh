@@ -177,7 +177,8 @@ run python benchmarks/bench_serve_latency.py --mode smoke --out BENCH_serve.json
 stage "socket serving round trip"
 # End-to-end through the real CLI: query over the wire, push one raw
 # frame and one gap (the server caches raw frames and scales at sample
-# time), then ask for a clean drain.
+# time), check the window cache in the stats reply, then ask for a
+# clean drain.
 run listen_session <<'PYEOF'
 import sys
 from repro.data import load_dataset
@@ -200,8 +201,12 @@ with ForecastClient(address, wait_ready_s=10.0) as client:
     client.push_gap()
     _prediction, pushed_index, _ = client.forecast()
     assert pushed_index == index + 2, (index, pushed_index)
-    staleness = client.stats()["staleness_ticks"]
-    assert staleness == snap["staleness_ticks"] + 2, staleness
+    after = client.stats()
+    assert after["staleness_ticks"] == snap["staleness_ticks"] + 2, after
+    # The window cache, read through the wire.
+    cache, before = after["cache"], snap["cache"]
+    assert cache["count"] == before["count"] + 2, (before, cache)
+    assert cache["gap_count"] == before["gap_count"] + 1, (before, cache)
     client.shutdown()
 print("socket round trip OK")
 PYEOF

@@ -357,7 +357,7 @@ def _cmd_stream(args):
                                     checkpoint_dir=ckpt_dir, seed=args.seed)
         with runtime:
             results = sim.run_scenario(scenario, runtime)
-            telemetry = runtime.telemetry()
+            telemetry = runtime.snapshot()
     report = sim.evaluate_results(scenario, results)
 
     # Clean-stream correctness gate: every model-sourced live forecast

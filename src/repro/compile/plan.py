@@ -283,7 +283,7 @@ class PlanCache:
         _mark_profiler()
         return result
 
-    def report(self):
+    def snapshot(self):
         """JSON-serialisable summary of the cache.
 
         Plan and call counts, the largest plan's ``arena_bytes`` (every

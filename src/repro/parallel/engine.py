@@ -280,7 +280,7 @@ class ParallelEngine:
             filled.put((step, slot, n))
         filled.put(None)
 
-    def telemetry(self):
+    def snapshot(self):
         """JSON-able counters for ``History.parallel``."""
         return {
             "workers": self.workers,

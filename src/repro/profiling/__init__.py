@@ -7,11 +7,12 @@
   profiler is installed.
 - :func:`format_op_summary` — render a collected profile as a table.
 
-The profiler counts ops only.  Training, serving, streaming and the
-compilers report their own counters (``History.parallel``,
-``ForecastServer.snapshot()``, ``StreamRuntime.telemetry()``,
-``report()``); see the "Profiling & telemetry" section of
-``docs/api.md`` for where each one lives.
+The profiler counts ops only.  Every runtime component keeps its own
+counters and reads them out the same way, as a JSON-able
+``snapshot()``: the profiler, the server, the stream runtime and its
+parts, the training engine, both compilers and both sentinels.  See
+the "Profiling & telemetry" section of ``docs/api.md`` for where each
+counter lives.
 """
 
 from repro.profiling.op_profiler import (

@@ -158,7 +158,7 @@ class OpProfiler:
         self.forward_alloc_bytes = 0
         self.mark()
 
-    def as_dict(self):
+    def snapshot(self):
         """JSON-serialisable snapshot of everything collected."""
         return {
             "ops": {name: stats.as_dict() for name, stats in self.stats.items()},
@@ -173,11 +173,11 @@ class OpProfiler:
 
     def summary(self, limit=12):
         """Aligned text table of the most expensive ops."""
-        return format_op_summary(self.as_dict(), limit=limit)
+        return format_op_summary(self.snapshot(), limit=limit)
 
 
 def format_op_summary(op_profile, limit=12):
-    """Render an ``OpProfiler.as_dict()`` snapshot as a text table.
+    """Render an ``OpProfiler.snapshot()`` as a text table.
 
     Ops are sorted by combined forward+backward time, descending;
     ``limit`` truncates the table (``None`` shows everything).

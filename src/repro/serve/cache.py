@@ -7,15 +7,12 @@ stream is unbounded, and each forecast request needs only a bounded
 window of the past.  :class:`WindowCache` maintains exactly that window:
 
 - a **frame ring** holding the last ``periodicity.min_index`` observed
-  grid frames — the deepest lag any of the three sub-series reaches;
-- a **rolling closeness tensor** updated in place on every tick (shift
-  left, write the newest frame last), so the highest-rate sub-series
-  costs one frame copy per tick instead of a re-slice per request;
-- **period/trend gathers** resolved against the ring with precomputed
-  lag offsets when a sample is requested (each selected frame moves by
-  one tick per tick, so unlike closeness these cannot be maintained by
-  shifting — but the gather touches ``L_p + L_t`` small frames, never
-  the full history).
+  grid frames — the deepest lag any of the three sub-series reaches,
+  and never less than ``L_c``;
+- **closeness/period/trend gathers** resolved against the ring with
+  precomputed lag offsets when a sample is requested, so a tick costs
+  one frame write and a sample touches ``L_c + L_p + L_t`` small
+  frames, never the full history.
 
 Frames are kept as they were pushed, in the dtype of the first frame:
 the cache never scales or casts.  A :class:`~repro.serve.server.
@@ -44,9 +41,10 @@ same way — the contract changes bookkeeping, never the numerics.
 
 **Thread safety**: one lock covers every write (:meth:`push`,
 :meth:`push_gap`) and every read (:meth:`sample`,
-:meth:`imputed_counts`, :attr:`last_frame`, the counters), so a sample
-taken while another thread pushes holds the windows of one tick, never
-a closeness window from the next tick under the previous index.
+:meth:`imputed_counts`, :meth:`snapshot`, :attr:`last_frame`, the
+counters), so a sample taken while another thread pushes holds the
+windows of one tick, never a frame of the next tick under the previous
+index.
 
 One cache covers every grid cell at once (frames are whole ``(2, H, W)``
 grids); per-cell forecasts slice the shared batched forward instead of
@@ -81,14 +79,18 @@ class WindowCache:
         self.periodicity = periodicity
         self.frame_shape = tuple(int(s) for s in frame_shape)
         self.capacity = int(periodicity.min_index)
-        # Lag offsets are a pure function of the periodicity config, so
-        # build them once here instead of per sample()/imputed_counts()
-        # call; the bit-identity tests against build_samples pin that
-        # this changes nothing numerically.
-        self.period_lags = np.arange(
-            periodicity.len_period, 0, -1) * periodicity.period_lag
-        self.trend_lags = np.arange(
-            periodicity.len_trend, 0, -1) * periodicity.trend_lag
+        # Lag offsets of the closeness, period and trend frames, each
+        # oldest first (Eqs. 3-5), built once as one array so a sample
+        # is one gather; the build_samples bit-identity tests pin it.
+        p = periodicity
+        self._lags = np.concatenate([
+            np.arange(p.len_closeness, 0, -1),
+            np.arange(p.len_period, 0, -1) * p.period_lag,
+            np.arange(p.len_trend, 0, -1) * p.trend_lag])
+        mid = p.len_closeness + p.len_period
+        self._spans = {"closeness": slice(0, p.len_closeness),
+                       "period": slice(p.len_closeness, mid),
+                       "trend": slice(mid, None)}
         #: Optional callback fired after every clock advance
         #: (:meth:`push` and :meth:`push_gap`), outside the lock, with
         #: the new frame count.  The server hangs result-cache
@@ -96,13 +98,11 @@ class WindowCache:
         #: memoized forecasts for older indices are dead weight.
         self.on_advance = None
         self._lock = sanitizer.create_lock("WindowCache._lock")
-        self._ring = None       # (capacity,) + frame_shape
-        self._closeness = None  # (L_c,) + frame_shape, rolling
-        self._count = 0         # total frames observed
+        self._ring = None  # (capacity,) + frame_shape
+        self._count = 0    # total frames observed
         # Gap bookkeeping: which ring slots hold carry-forward fills
-        # rather than observations, plus the rolling closeness flags.
-        self._imputed_ring = None       # (capacity,) bool
-        self._closeness_imputed = None  # (L_c,) bool
+        # rather than observations.
+        self._imputed_ring = None  # (capacity,) bool
         self._gap_count = 0
 
     # ------------------------------------------------------------------
@@ -139,12 +139,7 @@ class WindowCache:
     def _allocate(self, dtype):
         self._ring = np.zeros((self.capacity,) + self.frame_shape,
                               dtype=dtype)
-        self._closeness = np.zeros(
-            (self.periodicity.len_closeness,) + self.frame_shape,
-            dtype=dtype)
         self._imputed_ring = np.zeros(self.capacity, dtype=bool)
-        self._closeness_imputed = np.zeros(
-            self.periodicity.len_closeness, dtype=bool)
 
     # ------------------------------------------------------------------
     def push(self, frame):
@@ -182,15 +177,9 @@ class WindowCache:
         return count
 
     def _advance(self, frame, observed):
-        """Write one tick into the windows (caller holds the lock)."""
+        """Write one tick into the ring (caller holds the lock)."""
         self._ring[self._count % self.capacity] = frame
         self._imputed_ring[self._count % self.capacity] = not observed
-        # Rolling closeness: shift one slot left, newest frame last —
-        # matches Eq. (3)'s [i - L_c, ..., i - 1] ordering.
-        self._closeness[:-1] = self._closeness[1:]
-        self._closeness[-1] = frame
-        self._closeness_imputed[:-1] = self._closeness_imputed[1:]
-        self._closeness_imputed[-1] = not observed
         self._count += 1
         return self._count
 
@@ -201,10 +190,15 @@ class WindowCache:
                 f"window not ready: {self._count} of {self.capacity} "
                 "warm-up ticks observed")
 
-    def _gather(self, lags):
-        """Stack the ring frames at absolute indices ``next_index - lag``."""
-        positions = (self._count - lags) % self.capacity
-        return self._ring[positions]
+    def _positions(self):
+        """Ring slots of every window frame for :attr:`next_index`."""
+        return (self._count - self._lags) % self.capacity
+
+    def _imputed_counts(self):
+        """:meth:`imputed_counts` body (caller holds the lock)."""
+        flags = self._imputed_ring[self._positions()]
+        return {name: int(np.count_nonzero(flags[span]))
+                for name, span in self._spans.items()}
 
     def imputed_counts(self):
         """Imputed-frame counts the *next* sample would contain.
@@ -215,13 +209,7 @@ class WindowCache:
         """
         with self._lock:
             self._require_ready()
-            return {
-                "closeness": int(self._closeness_imputed.sum()),
-                "period": int(self._imputed_ring[
-                    (self._count - self.period_lags) % self.capacity].sum()),
-                "trend": int(self._imputed_ring[
-                    (self._count - self.trend_lags) % self.capacity].sum()),
-            }
+            return self._imputed_counts()
 
     def sample(self):
         """The size-1 :class:`SampleBatch` forecasting :attr:`next_index`.
@@ -230,16 +218,28 @@ class WindowCache:
         ``build_samples`` would produce for this target index from the
         full history.  ``target`` is a zero placeholder — the target is
         the unobserved interval being forecast — and ``indices`` carries
-        the target index.  The arrays are copies; callers may hold them
-        across subsequent :meth:`push` calls.
+        the target index.  The arrays never alias the ring; callers may
+        hold them across subsequent :meth:`push` calls.
         """
         with self._lock:
             self._require_ready()
+            frames = self._ring[self._positions()][None]
             return SampleBatch(
-                closeness=self._closeness.copy()[None],
-                period=self._gather(self.period_lags)[None],
-                trend=self._gather(self.trend_lags)[None],
+                **{name: frames[:, span]
+                   for name, span in self._spans.items()},
                 target=np.zeros((1,) + self.frame_shape,
                                 dtype=self._ring.dtype),
                 indices=np.array([self._count]),
             )
+
+    def snapshot(self):
+        """JSON-able ``count``, ``ready``, ``gap_count`` and ``imputed``
+        (:meth:`imputed_counts`, ``None`` until ready), under one lock."""
+        with self._lock:
+            ready = self._count >= self.capacity
+            return {
+                "count": self._count,
+                "ready": ready,
+                "gap_count": self._gap_count,
+                "imputed": self._imputed_counts() if ready else None,
+            }

@@ -117,8 +117,8 @@ class SocketFrontend:
         self._ready = threading.Event()
         self._startup_error = None
         self._shutdown_requested = threading.Event()
-        # Telemetry (mutated on the loop thread only; GIL-atomic int
-        # reads from telemetry()).
+        # Counters (mutated on the loop thread only; GIL-atomic int
+        # reads from snapshot()).
         self._connections = set()
         self._active = 0
         self._accepted = 0
@@ -185,7 +185,7 @@ class SocketFrontend:
         """
         return self._shutdown_requested.wait(timeout)
 
-    def telemetry(self):
+    def snapshot(self):
         """JSON-able front-end counters."""
         return {
             "address": wire.format_address(self.address)
@@ -345,7 +345,7 @@ class SocketFrontend:
 
     async def _op_stats(self, frame):
         snap = await self._blocking(self._server.snapshot)
-        snap["frontend"] = self.telemetry()
+        snap["frontend"] = self.snapshot()
         return {"ok": True, "stats": snap}
 
     async def _op_query(self, frame):

@@ -431,7 +431,9 @@ class ForecastServer:
 
     # ------------------------------------------------------------------
     def snapshot(self):
-        """JSON-able serving telemetry (latency stats + configuration)."""
+        """JSON-able serving state: latency stats, configuration, and
+        each component's own ``snapshot()`` (window, compiler, result
+        cache, autoscaler) under its key."""
         snap = self.stats.snapshot()
         snap.update({
             "generation": self.generation,
@@ -444,8 +446,10 @@ class ForecastServer:
             snap["shared_mib"] = round(self._pool.shared_bytes / 2**20, 3)
             snap["blas_modes"] = list(self._pool.blas_modes)
             snap["live_replicas"] = self.replica_count
+        if self.cache is not None:
+            snap["cache"] = self.cache.snapshot()
         if self._compiler is not None:
-            snap["compile"] = self._compiler.report()
+            snap["compile"] = self._compiler.snapshot()
         if self.results is not None:
             snap["result_cache"] = self.results.snapshot()
         if self.autoscaler is not None:

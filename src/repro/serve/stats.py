@@ -74,11 +74,10 @@ class LatencyStats:
 
     def __init__(self, reservoir_capacity=_RESERVOIR_CAPACITY, seed=0):
         self._lock = sanitizer.create_lock("LatencyStats._lock")
-        # Percentile reservoirs (bounded; seeds offset so the three
+        # Percentile reservoirs (bounded; seeds offset so the two
         # streams do not share replacement patterns).
         self._latencies = _Reservoir(reservoir_capacity, seed)
         self._queue_waits = _Reservoir(reservoir_capacity, seed + 1)
-        self._batch_sizes = _Reservoir(reservoir_capacity, seed + 2)
         # Exact running aggregates.
         self._forward_s = 0.0     # cumulative model time across batches
         self._started = perf_counter()
@@ -97,7 +96,6 @@ class LatencyStats:
         """One micro-batched forward: shape, model time, per-request times."""
         with self._lock:
             self._batches += 1
-            self._batch_sizes.add(batch_requests)
             self._batch_max = max(self._batch_max, int(batch_requests))
             self._forward_s += forward_seconds
             self._requests += batch_requests

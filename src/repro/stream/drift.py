@@ -166,7 +166,7 @@ class DriftSentinel:
         self.recent.clear()
 
     # ------------------------------------------------------------------
-    def report(self):
+    def snapshot(self):
         """JSON-able state: baseline, accumulator, recent-window stats."""
         recent = np.asarray(self.recent, dtype=np.float64)
         return {

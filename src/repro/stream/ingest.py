@@ -167,7 +167,7 @@ class StreamIngestor:
             return events
 
     # ------------------------------------------------------------------
-    def telemetry(self):
+    def snapshot(self):
         """JSON-able ingestion counters and the quarantine audit log."""
         return {
             "next_index": self._next,

@@ -49,7 +49,7 @@ from repro.stream.ticks import Tick
 
 __all__ = ["ForecastResult", "StreamConfig", "StreamRuntime"]
 
-# Failure-reason audit log bound (same discipline as the quarantine).
+# Audit log bound (same discipline as the quarantine).
 _MAX_FAILURE_RECORDS = 64
 
 #: Rolling raw-frame window the warm retrain fits on.
@@ -165,7 +165,8 @@ class StreamRuntime:
         self.retrain_s = 0.0  # wall time of every adapt(), failed or not
         self.retrain_failures = deque(maxlen=_MAX_FAILURE_RECORDS)
         self.fallbacks = {}  # source -> count
-        self.drift_events = []  # indices where drift was confirmed
+        # Newest confirmed-drift indices; the total is the sentinel's.
+        self.drift_events = deque(maxlen=_MAX_FAILURE_RECORDS)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -329,7 +330,7 @@ class StreamRuntime:
 
         The server keeps its weights and keeps answering direct
         requests; ``reason`` is attached to every ladder answer and
-        shown in :meth:`telemetry`.
+        shown in :meth:`snapshot`.
         """
         self._degraded_reason = str(reason)
 
@@ -426,22 +427,15 @@ class StreamRuntime:
         return True
 
     # ------------------------------------------------------------------
-    def telemetry(self):
-        """JSON-able runtime state across every subsystem."""
-        cache = self.server.cache
+    def snapshot(self):
+        """JSON-able runtime state across every subsystem; the window
+        is ``["serve"]["cache"]``."""
         return {
-            "ingest": self.ingestor.telemetry(),
-            "drift": self.drift.report(),
+            "ingest": self.ingestor.snapshot(),
+            "drift": self.drift.snapshot(),
             "drift_events": list(self.drift_events),
             "degraded": self._degraded_reason,
             "serve": self.server.snapshot(),
-            "cache": {
-                "count": cache.count,
-                "ready": cache.ready,
-                "gap_count": cache.gap_count,
-                "imputed": (cache.imputed_counts()
-                            if cache.ready else None),
-            },
             "history_len": len(self.history),
             "masked_cells": self.masked_cells,
             "fallbacks": dict(self.fallbacks),

@@ -15,13 +15,13 @@ class History:
     telemetry: ``epoch_time`` (seconds per epoch, including validation)
     and ``batches_per_sec`` (training-section throughput).  When op
     profiling is enabled (``TrainConfig.profile_ops``), ``op_profile``
-    holds the :meth:`repro.profiling.OpProfiler.as_dict` snapshot for
-    the whole fit and ``peak_tape_bytes`` the tape's high-water mark.
+    holds the :meth:`repro.profiling.OpProfiler.snapshot` for the
+    whole fit and ``peak_tape_bytes`` the tape's high-water mark.
 
     Robustness bookkeeping: ``interrupted`` is set when a fit was
     stopped by SIGINT/SIGTERM (the run is resumable from its final
     checkpoint), and ``sentinel`` holds the divergence sentinel's
-    JSON-able report — policy, thresholds, and the anomalous steps it
+    ``snapshot()`` — policy, thresholds, and the anomalous steps it
     acted on (see :mod:`repro.training.sentinel`).
     """
 
@@ -41,10 +41,10 @@ class History:
     peak_tape_bytes: int = 0
     op_profile: dict = None
     sentinel: dict = None
-    # Data-parallel run telemetry (ParallelEngine.telemetry()): worker
+    # Data-parallel run telemetry (ParallelEngine.snapshot()): worker
     # count, allreduce time, prefetch stalls, per-worker BLAS pinning.
     parallel: dict = None
-    # Graph-compiled stepping report (StepCompiler.report()): plans
+    # Graph-compiled stepping report (StepCompiler.snapshot()): plans
     # built/validated, compiled vs eager step counts, the bytes a plan
     # keeps and their reuse, kernels and fused chains, and any
     # fallback reasons.  None unless TrainConfig.compile is set.

@@ -189,7 +189,7 @@ class DivergenceSentinel:
             event=event,
         )
 
-    def report(self):
+    def snapshot(self):
         """JSON-able summary for ``History.sentinel``.
 
         ``counts`` tallies every trigger; ``events`` carries the first

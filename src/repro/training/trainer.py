@@ -380,7 +380,7 @@ class Trainer:
                     if (manager is not None and config.checkpoint_every
                             and (epoch + 1) % config.checkpoint_every == 0):
                         if sentinel is not None:
-                            history.sentinel = sentinel.report()
+                            history.sentinel = sentinel.snapshot()
                         manager.save(self.model, self.optimizer,
                                      history=history, epoch=epoch,
                                      is_best=history.best_epoch == epoch)
@@ -395,13 +395,13 @@ class Trainer:
 
         history.budget_exhausted = budget_exhausted
         if sentinel is not None:
-            history.sentinel = sentinel.report()
+            history.sentinel = sentinel.snapshot()
         if engine is not None:
-            history.parallel = engine.telemetry()
+            history.parallel = engine.snapshot()
         if compiler is not None:
-            history.compiled = compiler.report()
+            history.compiled = compiler.snapshot()
         if profiler is not None:
-            history.op_profile = profiler.as_dict()
+            history.op_profile = profiler.snapshot()
             history.peak_tape_bytes = profiler.peak_tape_bytes
         if self._interrupt_requested:
             history.interrupted = True

@@ -47,7 +47,7 @@ class TestForwardCompiler:
             batch = test.slice(start, start + 4)
             got = fc.forward(batch)
             np.testing.assert_array_equal(got, eager_predict(muse, batch))
-        report = fc.report()
+        report = fc.snapshot()
         assert report["plans_built"] == 1
         assert report["build_s"] > 0.0
         assert report["plans_validated"] == 1
@@ -60,7 +60,7 @@ class TestForwardCompiler:
         batch = tiny_data.test.slice(0, 4)
         first = fc.forward(batch)
         np.testing.assert_array_equal(first, eager_predict(model, batch))
-        report = fc.report()
+        report = fc.snapshot()
         assert report["plans_built"] == 0
         assert report["build_s"] == 0.0
         [reason] = report["fallbacks"].values()
@@ -71,7 +71,7 @@ class TestForwardCompiler:
         fc = ForwardCompiler(muse)
         for start in range(3):  # build + shadow + first trusted replay
             fc.forward(test.slice(start, start + 4))
-        assert fc.report()["plans_validated"] == 1
+        assert fc.snapshot()["plans_validated"] == 1
         poisoned = test.take(range(3, 7))
         poisoned.closeness[0, 0, 0, 0] = np.nan
         with detect_anomaly():
@@ -79,7 +79,7 @@ class TestForwardCompiler:
                 eager_predict(muse, poisoned)
             with pytest.raises(AnomalyError):
                 fc.forward(poisoned)
-        assert "detect_anomaly" in fc.report()["fallbacks"]
+        assert "detect_anomaly" in fc.snapshot()["fallbacks"]
 
     def test_caller_batch_views_stay_intact(self, tiny_data, muse):
         """Replaying through zero-copy slices must not write the split.
@@ -112,7 +112,7 @@ class TestForwardCompiler:
         batch = tiny_data.test.slice(0, 4)
         for _ in range(3):
             fc.forward(batch)
-        report = fc.report()
+        report = fc.snapshot()
         assert report["arena_bytes"] > 0
         assert report["arena_reuse_pct"] > 0.0
 

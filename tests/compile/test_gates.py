@@ -172,7 +172,7 @@ def run_against_eager(harness, make_model, calls):
 def test_guard_runs_train_mode_normalization_eager(harness, tiny_data):
     compiled = run_against_eager(harness, lambda: NormHead(tiny_data),
                                  batches(tiny_data, 3))
-    report = compiled.compiler.report()
+    report = compiled.compiler.snapshot()
     assert report["plans_built"] == 0
     assert report[f"compiled_{harness.unit}"] == 0
     assert report[f"eager_{harness.unit}"] == 3
@@ -187,7 +187,7 @@ def test_build_gate_pins_a_diverging_replay(harness, tiny_data):
         harness, lambda: TanhHead(tiny_data, misrecorded), calls)
     reason = compiled.compiler._plans[batch_signature(calls[0])]
     assert reason.startswith("build validation failed")
-    report = compiled.compiler.report()
+    report = compiled.compiler.snapshot()
     assert report["plans_built"] == 0
     assert report["build_s"] == 0.0
     assert report[f"compiled_{harness.unit}"] == 0
@@ -207,7 +207,7 @@ def test_shadow_gate_pins_a_stale_input_plan(harness, tiny_data):
         "shadow validation failed")
     assert_same(compiled.compiled(later), twin.eager(later))
 
-    report = compiled.compiler.report()
+    report = compiled.compiler.snapshot()
     assert report["plans_built"] == 1
     assert report["plans_validated"] == 0
     assert report[f"compiled_{harness.unit}"] == 0
@@ -222,7 +222,7 @@ def test_report_counts_every_byte_a_plan_keeps(harness, tiny_data,
     compiled = harness(model)
     for batch in batches(tiny_data, 3):  # build, shadow, trusted replay
         compiled.compiled(batch)
-    report = compiled.compiler.report()
+    report = compiled.compiler.snapshot()
     [plan] = [entry for entry in compiled.compiler._plans.values()
               if isinstance(entry, harness.plan_type)]
     assert report[f"compiled_{harness.unit}"] == 1
@@ -234,7 +234,7 @@ def test_report_counts_every_byte_a_plan_keeps(harness, tiny_data,
 def test_both_reports_share_one_key_set(tiny_data):
     keys = []
     for harness in (Forward, Step):
-        report = harness(TanhHead(tiny_data, stale)).compiler.report()
+        report = harness(TanhHead(tiny_data, stale)).compiler.snapshot()
         keys.append(set(report) - {f"compiled_{harness.unit}",
                                    f"eager_{harness.unit}"})
     assert keys[0] == keys[1]

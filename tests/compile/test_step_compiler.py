@@ -37,7 +37,7 @@ class TestBitEquivalence:
             compiled = compiled_steps(model2, optimizer2,
                                       np.random.default_rng(0), batches32)
         assert_bitwise(eager, compiled)
-        report = compiled[3].report()
+        report = compiled[3].snapshot()
         assert report["plans_built"] == 1
         assert report["build_s"] > 0.0
         assert report["plans_validated"] == 1
@@ -57,7 +57,7 @@ class TestBitEquivalence:
         compiled = compiled_steps(model2, optimizer2,
                                   np.random.default_rng(0), batches)
         assert_bitwise(eager, compiled)
-        assert compiled[3].report()["compiled_steps"] >= 3
+        assert compiled[3].snapshot()["compiled_steps"] >= 3
 
     def test_full_fit_matches_eager(self, tiny_data, muse_config):
         from repro.training import Trainer, TrainConfig
@@ -92,7 +92,7 @@ class TestPlanCache:
         for batch in full + ragged:
             compiler.step(batch)
             optimizer.step()
-        report = compiler.report()
+        report = compiler.snapshot()
         assert report["plans_built"] == 2
         assert report["plans_validated"] == 2
         assert report["compiled_steps"] == 2  # one trusted replay each
@@ -122,7 +122,7 @@ class TestPlanCache:
                 losses.append(compiler.step(batch))
                 optimizer.step()
         assert losses == eager[0]
-        report = compiler.report()
+        report = compiler.snapshot()
         assert report["plans_built"] == 0
         assert report["eager_steps"] == 2
         assert "detect_anomaly" in report["fallbacks"]
@@ -174,7 +174,7 @@ class TestPlanCache:
         compiled = compiled_steps(model, optimizer,
                                   np.random.default_rng(0), batches)
         assert_bitwise(eager, compiled)
-        report = compiled[3].report()
+        report = compiled[3].snapshot()
         assert report["plans_built"] == 0
         assert report["compiled_steps"] == 0
         assert any("recording failed" in reason
@@ -238,16 +238,16 @@ class TestZeroAllocation:
         for batch in batches[:3]:  # build + shadow + first trusted replay
             compiler.step(batch)
             optimizer.step()
-        replayed = compiler.report()["compiled_steps"]
+        replayed = compiler.snapshot()["compiled_steps"]
         prof = OpProfiler()
         with profile(prof):
             for batch in batches[3:]:
                 compiler.step(batch)
                 optimizer.step()
-        assert compiler.report()["compiled_steps"] >= 4
+        assert compiler.snapshot()["compiled_steps"] >= 4
         # Replays never touch _from_op: zero forward-arena bytes.
         assert prof.forward_alloc_bytes == 0
-        assert compiler.report()["compiled_steps"] - replayed == 3
+        assert compiler.snapshot()["compiled_steps"] - replayed == 3
 
     def test_eager_steps_do_allocate(self, tiny_data):
         """Control: the same steps run eagerly allocate megabytes."""

@@ -191,7 +191,7 @@ class TestLifecycle:
         model, optimizer, train, _ = _toy_setup(tiny_data, n=16)
         with ParallelEngine(model, optimizer, train, 8, 2) as engine:
             list(engine.epoch_steps(np.arange(16), epoch=0))
-            telemetry = engine.telemetry()
+            telemetry = engine.snapshot()
         assert telemetry["workers"] == 2
         assert telemetry["steps"] == 2
         assert telemetry["reduce_count"] == 2

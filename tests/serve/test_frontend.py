@@ -225,7 +225,7 @@ class TestSocketOps:
                         second.ping()
                 finally:
                     second.close()
-                assert frontend.telemetry()["rejected_busy"] == 1
+                assert frontend.snapshot()["rejected_busy"] == 1
                 # The admitted connection keeps working.
                 assert first.ping("again")["pong"] == "again"
 

@@ -80,7 +80,6 @@ class TestLatencyStats:
             feed(stats, [0.001] * 10, [0.002] * 10)
         assert len(stats._latencies.values) == 16
         assert len(stats._queue_waits.values) == 16
-        assert len(stats._batch_sizes.values) == 16
         assert len(stats._recent_waits) <= _RECENT_WINDOW
 
     def test_identical_runs_produce_identical_percentiles(self):

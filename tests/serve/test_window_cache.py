@@ -97,10 +97,10 @@ class TestWindowCache:
             cache.push(np.zeros((2, 4, 3)))
 
     def test_sample_never_sees_a_half_applied_push(self):
-        # Pause a push after it has shifted the closeness window but
-        # before it bumps the count, then sample from another thread:
-        # the sample must wait for the push and hold one tick's windows,
-        # never the shifted closeness under the previous index.
+        # Pause a push after it has written the ring slot but before it
+        # bumps the count, then sample from another thread: the sample
+        # must wait for the push and hold one tick's windows, never the
+        # new frame at the oldest trend lag under the previous index.
         p = make_periodicity()
         flows = make_stream(p.min_index + 2, seed=6)
         cache = WindowCache(p, FRAME_SHAPE)
@@ -110,12 +110,10 @@ class TestWindowCache:
         class PauseAfterLastWrite(np.ndarray):
             def __setitem__(self, key, value):
                 super().__setitem__(key, value)
-                if key == -1:  # the newest closeness flag: count is next
-                    paused.set()
-                    resume.wait(10.0)
+                paused.set()  # the slot's imputed flag: count is next
+                resume.wait(10.0)
 
-        cache._closeness_imputed = cache._closeness_imputed.view(
-            PauseAfterLastWrite)
+        cache._imputed_ring = cache._imputed_ring.view(PauseAfterLastWrite)
         pusher = threading.Thread(target=cache.push,
                                   args=(flows[p.min_index],))
         pusher.start()

@@ -113,11 +113,14 @@ class TestRearm:
         assert sentinel.observe(50.0) == "ok"
 
     def test_rearm_keeps_lifetime_counters(self):
-        sentinel = warmed()
-        sentinel.observe(100.0)
+        # The runtime rearms after every confirmed drift and reads the
+        # total from snapshot()["drifts"], so rearm must keep it.
+        sentinel = warmed(threshold=8.0, increment_cap=3.0)
+        assert [sentinel.observe(100.0) for _ in range(3)][-1] == "drift"
         spikes = sentinel.spikes
         sentinel.rearm()
         assert sentinel.spikes == spikes
+        assert sentinel.drifts == 1
 
     def test_recent_window_is_bounded_and_cleared(self):
         sentinel = warmed(window=16)
@@ -133,7 +136,7 @@ class TestReport:
         import json
         sentinel = warmed()
         sentinel.observe(1.2)
-        report = sentinel.report()
+        report = sentinel.snapshot()
         json.dumps(report)
         for key in ("armed", "ema_mean", "ema_std", "cusum", "threshold",
                     "drifts", "spikes", "recent_mean", "recent_max",
@@ -141,6 +144,6 @@ class TestReport:
             assert key in report
 
     def test_empty_report_before_any_observation(self):
-        report = DriftSentinel().report()
+        report = DriftSentinel().snapshot()
         assert report["recent_count"] == 0
         assert report["recent_mean"] is None

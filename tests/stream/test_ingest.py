@@ -151,7 +151,7 @@ class TestTelemetry:
         ing.offer(tick(1))
         ing.offer(tick(0))
         ing.offer(tick(0))  # late
-        t = ing.telemetry()
+        t = ing.snapshot()
         assert t["next_index"] == 2
         assert t["counts"] == {"emitted": 2, "gaps": 0, "quarantined": 1,
                                "reordered": 1}

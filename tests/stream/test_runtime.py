@@ -289,7 +289,7 @@ class TestAdaptation:
             assert runtime.degraded is None
             assert runtime.server.generation == 1
             assert runtime.forecast().source == "model"
-            telemetry = runtime.telemetry()
+            telemetry = runtime.snapshot()
         # Both attempts are timed, the failed one included.
         assert (telemetry["retrains"]
                 + len(telemetry["retrain_failures"])) == 2
@@ -356,15 +356,17 @@ class TestLifecycle:
         runtime = make_runtime(flows[:20])
         with runtime:
             runtime.ingest(live_tick(flows, 20))
-            t = runtime.telemetry()
+            t = runtime.snapshot()
         json.dumps(t)
         for key in ("ingest", "drift", "drift_events", "degraded",
-                    "serve", "cache", "history_len", "masked_cells",
+                    "serve", "history_len", "masked_cells",
                     "fallbacks", "retrains", "retrain_s",
                     "retrain_failures"):
             assert key in t
         assert t["serve"]["staleness_ticks"] == 1
-        assert t["cache"]["count"] == 21
+        assert t["serve"]["cache"] == {
+            "count": 21, "ready": True, "gap_count": 0,
+            "imputed": {"closeness": 0, "period": 0, "trend": 0}}
 
     def test_telemetry_counts_every_stream_event(self, monkeypatch):
         flows = make_flows(32)
@@ -379,7 +381,7 @@ class TestLifecycle:
             runtime.ingest(Tick(index=23, frame=np.full(SHAPE, np.inf)))
             runtime.mark_degraded("operator hold")
             runtime.forecast()
-            t = runtime.telemetry()
+            t = runtime.snapshot()
         counts = t["ingest"]["counts"]
         assert counts["emitted"] + counts["gaps"] == 3  # ticks applied
         assert counts["gaps"] == 1
@@ -395,3 +397,24 @@ class TestLifecycle:
             for index in range(20, 30):
                 runtime.ingest(live_tick(flows, index))
             assert len(runtime.history) == 16
+
+    def test_drift_log_keeps_the_newest_indices(self, monkeypatch):
+        # 100 forced drifts on a stream that never adapts: the index log
+        # keeps the newest 64, and the sentinel still counts every one.
+        flows = make_flows(120)
+        runtime = make_runtime(flows[:20],
+                               config=StreamConfig(auto_adapt=False))
+
+        def forced_drift(error):
+            runtime.drift.drifts += 1  # what observe() does on "drift"
+            return "drift"
+
+        with runtime:
+            monkeypatch.setattr(runtime.drift, "observe", forced_drift)
+            for index in range(20, 120):
+                assert runtime.forecast().source == "model"
+                runtime.ingest(live_tick(flows, index))
+            t = runtime.snapshot()
+        assert runtime_mod._MAX_FAILURE_RECORDS == 64
+        assert t["drift_events"] == list(range(56, 120))
+        assert t["drift"]["drifts"] == 100

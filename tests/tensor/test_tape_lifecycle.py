@@ -151,11 +151,11 @@ class TestOpProfiler:
         assert prof.stats["relu"].calls == 1
         assert prof.tape_bytes == 0
 
-    def test_as_dict_and_summary(self):
+    def test_snapshot_and_summary(self):
         with profile() as prof:
             loss, _, _ = build_graph()
             loss.backward()
-        snapshot = prof.as_dict()
+        snapshot = prof.snapshot()
         assert set(snapshot) == {"ops", "total_forward_s", "total_backward_s",
                                  "peak_tape_bytes", "grad_alloc_bytes",
                                  "optimizer_alloc_bytes", "optimizer_steps",

@@ -177,12 +177,12 @@ def test_forward_compiler_plan_holds_only_its_own_kernels():
     batch = _batch(2)
     quiet = ForwardCompiler(TwoOps())
     expected = quiet.forward(batch)
-    assert quiet.report()["fallbacks"] == {}
+    assert quiet.snapshot()["fallbacks"] == {}
 
     def other_op():
         SecondThread(lambda: Tensor(np.ones(4)).exp()).run()
 
     busy = ForwardCompiler(TwoOps(between=other_op))
     np.testing.assert_array_equal(busy.forward(batch), expected)
-    assert busy.report()["fallbacks"] == {}
+    assert busy.snapshot()["fallbacks"] == {}
     assert _plan_kernels(busy) == _plan_kernels(quiet)
