@@ -23,8 +23,11 @@ Gates:
   in-process rows at **atol 0** (the JSON float transport is exact).
 - **Latency / cache speedup (hardware-gated)** — p99 latency at
   concurrency 8 must stay under ``--max-p99-ms``, and the cached
-  same-tick arm must reach >= ``--min-cache-speedup`` x the uncached
-  qps at concurrency 32.  Wall-clock is physics: on a single-CPU host
+  same-tick arm (``forecast_tick``) must reach >=
+  ``--min-cache-speedup`` x the qps of the uncached arm at concurrency
+  32, whose clients each sample the window and send it through the
+  micro-batcher (``server.forecast(server.cache.sample()[0])``).
+  Wall-clock is physics: on a single-CPU host
   the numbers are still measured and recorded, but the gates are
   skipped with an explicit ``skipped_reason`` in the snapshot instead
   of failing CI (mirroring ``BENCH_parallel.json``).
@@ -56,7 +59,8 @@ CONCURRENCIES = (1, 8, 32)
 
 
 class CountingModel:
-    """Delegating wrapper counting ``predict`` calls (batcher thread only)."""
+    """Delegating wrapper counting ``predict`` calls (the server runs
+    them one at a time under its forward lock)."""
 
     def __init__(self, model):
         self._model = model
@@ -157,9 +161,9 @@ def check_correctness(max_batch=8, concurrency=4):
     return results
 
 
-def _streaming_server(model, data, result_cache, max_wait_ms=2.0):
+def _streaming_server(model, data, max_wait_ms=2.0):
     """Started streaming server, window warmed from the scaled history."""
-    config = ServeConfig(max_wait_ms=max_wait_ms, result_cache=result_cache)
+    config = ServeConfig(max_wait_ms=max_wait_ms)
     server = ForecastServer(model, config, periodicity=data.periodicity,
                             frame_shape=data.test.target.shape[1:])
     server.start()
@@ -183,10 +187,10 @@ def check_single_flight(data, clients=32):
         plus_channels=2, decoder_hidden=32, seed=0,
     )
     model = CountingModel(MUSENet(config))
-    server = _streaming_server(model, data, result_cache=8)
+    server = _streaming_server(model, data)
     try:
         # Uncached offline reference for the same target windows.
-        sample = server.cache.sample()
+        sample, _imputed = server.cache.sample()
         offline = Trainer(model._model,
                           TrainConfig(epochs=0)).predict_scaled(sample)[0]
         model.forwards = 0
@@ -220,23 +224,26 @@ def check_single_flight(data, clients=32):
 
 
 def time_cache(data, concurrency=32, requests=256):
-    """Cached vs uncached same-tick qps at fixed client concurrency."""
+    """Cached vs uncached same-tick qps at fixed client concurrency.
+
+    The cached arm calls ``forecast_tick``; each uncached request
+    samples the window and forwards it through the micro-batcher.
+    """
     config = MuseConfig.for_data(
         data, rep_channels=8, latent_interactive=16, res_blocks=1,
         plus_channels=2, decoder_hidden=32, seed=0,
     )
     arms = {}
-    for name, cache_size in (("cached", 8), ("uncached", 0)):
-        server = _streaming_server(MUSENet(config), data,
-                                   result_cache=cache_size,
-                                   max_wait_ms=0.5)
+    for name in ("cached", "uncached"):
+        server = _streaming_server(MUSENet(config), data, max_wait_ms=0.5)
+        request = server.forecast_tick if name == "cached" else (
+            lambda: server.forecast(server.cache.sample()[0]))
         try:
-            server.forecast_tick()  # warm-up forward
+            request()  # warm-up forward
             server.stats.reset_clock()
             started = perf_counter()
             with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                list(pool.map(lambda _i: server.forecast_tick(),
-                              range(requests)))
+                list(pool.map(lambda _i: request(), range(requests)))
             elapsed = perf_counter() - started
         finally:
             server.close()
@@ -258,7 +265,7 @@ def check_socket(data, requests=8):
         plus_channels=2, decoder_hidden=32, seed=0,
     )
     model = MUSENet(config)
-    server = _streaming_server(model, data, result_cache=8, max_wait_ms=0.5)
+    server = _streaming_server(model, data, max_wait_ms=0.5)
     test = data.test
     try:
         frontend = SocketFrontend(server, ("127.0.0.1", 0), queries=test)
@@ -270,7 +277,8 @@ def check_socket(data, requests=8):
                     local_rows = server.forecast(test.slice(i, i + 1))
                     diffs.append(float(np.abs(wire_rows - local_rows).max()))
                 wire_pred, wire_index, _gen = client.forecast()
-                local_pred, local_index, _gen = server.forecast_tick()
+                local_pred, local_index, _gen, _imputed = \
+                    server.forecast_tick()
                 diffs.append(float(np.abs(wire_pred - local_pred).max()))
             telemetry = frontend.snapshot()
     finally:

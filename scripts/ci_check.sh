@@ -177,8 +177,8 @@ run python benchmarks/bench_serve_latency.py --mode smoke --out BENCH_serve.json
 stage "socket serving round trip"
 # End-to-end through the real CLI: query over the wire, push one raw
 # frame and one gap (the server caches raw frames and scales at sample
-# time), check the window cache in the stats reply, then ask for a
-# clean drain.
+# time), check the window cache in the stats reply, read the same
+# forecast again from the result cache, then ask for a clean drain.
 run listen_session <<'PYEOF'
 import sys
 from repro.data import load_dataset
@@ -199,7 +199,7 @@ with ForecastClient(address, wait_ready_s=10.0) as client:
     # window from this dataset's raw history), then a declared gap.
     client.push(load_dataset("nyc-bike", scale="tiny").flows[index])
     client.push_gap()
-    _prediction, pushed_index, _ = client.forecast()
+    pushed, pushed_index, _ = client.forecast()
     assert pushed_index == index + 2, (index, pushed_index)
     after = client.stats()
     assert after["staleness_ticks"] == snap["staleness_ticks"] + 2, after
@@ -207,6 +207,12 @@ with ForecastClient(address, wait_ready_s=10.0) as client:
     cache, before = after["cache"], snap["cache"]
     assert cache["count"] == before["count"] + 2, (before, cache)
     assert cache["gap_count"] == before["gap_count"] + 1, (before, cache)
+    # The same tick again: a result-cache hit with the same bits.
+    again, again_index, _ = client.forecast()
+    assert again_index == pushed_index, (pushed_index, again_index)
+    assert (again == pushed).all()
+    hits = client.stats()["result_cache"]["hits"]
+    assert hits == after["result_cache"]["hits"] + 1, (after, hits)
     client.shutdown()
 print("socket round trip OK")
 PYEOF

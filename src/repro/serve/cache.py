@@ -32,19 +32,18 @@ missing interval must still advance the stream clock, otherwise every
 later period/trend lag silently shifts off its calendar alignment.
 :meth:`WindowCache.push_gap` records one unobserved interval by
 carrying the last observed frame forward (zeros before the first
-frame) and flagging the slot as imputed; :meth:`imputed_counts`
-reports how many imputed frames the *next* sample would contain per
-sub-series, so callers can degrade or annotate forecasts built on
-filled history.  The carried-forward values are exactly what
-``build_samples`` would see on a history whose gaps were filled the
-same way — the contract changes bookkeeping, never the numerics.
+frame) and flagging the slot as imputed; :meth:`sample` returns, with
+the windows, how many imputed frames they contain per sub-series, so
+callers can degrade or annotate forecasts built on filled history.
+The carried-forward values are exactly what ``build_samples`` would
+see on a history whose gaps were filled the same way — the contract
+changes bookkeeping, never the numerics.
 
 **Thread safety**: one lock covers every write (:meth:`push`,
-:meth:`push_gap`) and every read (:meth:`sample`,
-:meth:`imputed_counts`, :meth:`snapshot`, :attr:`last_frame`, the
-counters), so a sample taken while another thread pushes holds the
-windows of one tick, never a frame of the next tick under the previous
-index.
+:meth:`push_gap`) and every read (:meth:`sample`, :meth:`snapshot`,
+:attr:`last_frame`, the counters), so a sample taken while another
+thread pushes holds the windows and imputed counts of one tick, never
+a frame of the next tick under the previous index.
 
 One cache covers every grid cell at once (frames are whole ``(2, H, W)``
 grids); per-cell forecasts slice the shared batched forward instead of
@@ -91,12 +90,6 @@ class WindowCache:
         self._spans = {"closeness": slice(0, p.len_closeness),
                        "period": slice(p.len_closeness, mid),
                        "trend": slice(mid, None)}
-        #: Optional callback fired after every clock advance
-        #: (:meth:`push` and :meth:`push_gap`), outside the lock, with
-        #: the new frame count.  The server hangs result-cache
-        #: invalidation here: a new tick means a new target index, so
-        #: memoized forecasts for older indices are dead weight.
-        self.on_advance = None
         self._lock = sanitizer.create_lock("WindowCache._lock")
         self._ring = None  # (capacity,) + frame_shape
         self._count = 0    # total frames observed
@@ -104,6 +97,10 @@ class WindowCache:
         # rather than observations.
         self._imputed_ring = None  # (capacity,) bool
         self._gap_count = 0
+        # The last sample built, as (count, batch, imputed): the window
+        # at a count never changes, so every sample between two pushes
+        # (each memo hit of a stream forecast) shares one build.
+        self._sampled = None
 
     # ------------------------------------------------------------------
     @property
@@ -151,10 +148,7 @@ class WindowCache:
         with self._lock:
             if self._ring is None:
                 self._allocate(frame.dtype)
-            count = self._advance(frame, observed=True)
-        if self.on_advance is not None:
-            self.on_advance(count)
-        return count
+            return self._advance(frame, observed=True)
 
     def push_gap(self):
         """Record one unobserved interval (the gap contract).
@@ -171,10 +165,7 @@ class WindowCache:
             else:
                 fill = self._ring[(self._count - 1) % self.capacity]
             self._gap_count += 1
-            count = self._advance(fill, observed=False)
-        if self.on_advance is not None:
-            self.on_advance(count)
-        return count
+            return self._advance(fill, observed=False)
 
     def _advance(self, frame, observed):
         """Write one tick into the ring (caller holds the lock)."""
@@ -195,46 +186,50 @@ class WindowCache:
         return (self._count - self._lags) % self.capacity
 
     def _imputed_counts(self):
-        """:meth:`imputed_counts` body (caller holds the lock)."""
+        """``{"closeness": n_c, "period": n_p, "trend": n_t}``: how many
+        frames of each window for :attr:`next_index` are carry-forward
+        fills (caller holds the lock)."""
         flags = self._imputed_ring[self._positions()]
         return {name: int(np.count_nonzero(flags[span]))
                 for name, span in self._spans.items()}
 
-    def imputed_counts(self):
-        """Imputed-frame counts the *next* sample would contain.
-
-        Returns ``{"closeness": n_c, "period": n_p, "trend": n_t}`` —
-        how many of each sub-series' frames are carry-forward fills
-        rather than observations.  All zeros on a clean stream.
-        """
-        with self._lock:
-            self._require_ready()
-            return self._imputed_counts()
-
     def sample(self):
-        """The size-1 :class:`SampleBatch` forecasting :attr:`next_index`.
+        """``(batch, imputed)`` for :attr:`next_index`, under one lock.
 
+        ``batch`` is the size-1 :class:`SampleBatch`: its
         ``closeness``/``period``/``trend`` are exactly what
         ``build_samples`` would produce for this target index from the
-        full history.  ``target`` is a zero placeholder — the target is
-        the unobserved interval being forecast — and ``indices`` carries
-        the target index.  The arrays never alias the ring; callers may
-        hold them across subsequent :meth:`push` calls.
+        full history, ``target`` is a zero placeholder (the target is
+        the unobserved interval being forecast) and ``indices`` carries
+        the target index.  ``imputed`` counts the carry-forward fills
+        in those windows per sub-series — all zeros on a clean stream.
+        The arrays never alias the ring, so callers may hold them across
+        subsequent :meth:`push` calls; they are read-only because every
+        sample at one count shares them.
         """
         with self._lock:
-            self._require_ready()
-            frames = self._ring[self._positions()][None]
-            return SampleBatch(
-                **{name: frames[:, span]
-                   for name, span in self._spans.items()},
-                target=np.zeros((1,) + self.frame_shape,
-                                dtype=self._ring.dtype),
-                indices=np.array([self._count]),
-            )
+            sampled = self._sampled
+            if sampled is None or sampled[0] != self._count:
+                self._require_ready()
+                frames = self._ring[self._positions()][None]
+                target = np.zeros((1,) + self.frame_shape,
+                                  dtype=self._ring.dtype)
+                indices = np.array([self._count])
+                for array in (frames, target, indices):
+                    array.flags.writeable = False
+                batch = SampleBatch(
+                    **{name: frames[:, span]
+                       for name, span in self._spans.items()},
+                    target=target, indices=indices)
+                sampled = self._sampled = (
+                    self._count, batch, self._imputed_counts())
+        _count, batch, imputed = sampled
+        return batch, dict(imputed)
 
     def snapshot(self):
         """JSON-able ``count``, ``ready``, ``gap_count`` and ``imputed``
-        (:meth:`imputed_counts`, ``None`` until ready), under one lock."""
+        (the counts :meth:`sample` would return, ``None`` until ready),
+        under one lock."""
         with self._lock:
             ready = self._count >= self.capacity
             return {

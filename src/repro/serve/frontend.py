@@ -363,7 +363,7 @@ class SocketFrontend:
                 "generation": self._server.generation}
 
     async def _op_forecast(self, frame):
-        prediction, index, generation = await self._blocking(
+        prediction, index, generation, _imputed = await self._blocking(
             self._server.forecast_tick)
         response = {"ok": True, "index": index, "generation": generation}
         cells = frame.get("cells")

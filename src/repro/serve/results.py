@@ -23,19 +23,20 @@ clients asking for the same tick should cost one model forward, not N.
   one lock, so exactly one forward runs per key no matter how many
   clients race — the property ``benchmarks/bench_serve_latency.py``'s
   cache arm gates in CI.
-- **Invalidation.**  ``invalidate()`` drops the completed entries
-  (in-flight owners still resolve their joiners).  The server wires it
-  to every :meth:`WindowCache.push`/``push_gap`` (a new tick means a
-  new target index — older entries are dead weight) and to checkpoint
-  hot swap (the generation bump already makes old keys unreachable;
-  dropping them reclaims the memory immediately and guarantees a stale
-  generation is never served).
+- **No invalidation.**  The server takes each key from the window it
+  sampled, the generation it read first and, when it scales samples,
+  the scaler's bounds, so a key names one immutable artifact: after a
+  push the next sample has a new index, after a hot swap a new
+  generation, after a scaler widening new bounds.  An older entry can
+  answer only a request that raced the swap, with the pure
+  old-generation value its key names.  The LRU bound keeps memory at
+  ``capacity`` grids.
 
 The cache never *computes* anything: correctness rests entirely on the
 key identifying an immutable artifact, which is why a result computed
 while a hot swap raced the forward is delivered to its waiters (it is
 a pure old- or new-generation value, the same guarantee the swap tests
-enforce) but **not stored** — see ``ForecastServer._forecast_tick``.
+enforce) but **not stored** — see ``ForecastServer.forecast_tick``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ class ForecastCache:
     capacity:
         Completed entries kept (LRU eviction past this).  A serving
         deployment rarely needs more than a few: only the newest tick
-        is queried on a live stream, and a hot swap invalidates
-        everything anyway.
+        of the serving generation is queried on a live stream.
     """
 
     def __init__(self, capacity=8):
@@ -72,7 +72,6 @@ class ForecastCache:
         self._hits = 0
         self._coalesced = 0
         self._misses = 0
-        self._invalidations = 0
         self._evictions = 0
 
     # ------------------------------------------------------------------
@@ -145,22 +144,6 @@ class ForecastCache:
             except InvalidStateError:  # pragma: no cover - lost race
                 pass
 
-    def invalidate(self, reason=None):
-        """Drop all completed entries; returns how many were dropped.
-
-        In-flight computations are left to finish — their joiners are
-        already committed to that key, and the key itself (index +
-        generation) still names the artifact they asked for.  ``reason``
-        is accepted for call-site readability ("tick", "swap") and not
-        recorded per-event.
-        """
-        with self._lock:
-            dropped = len(self._done)
-            self._done.clear()
-            if dropped:
-                self._invalidations += 1
-            return dropped
-
     # ------------------------------------------------------------------
     def __len__(self):
         with self._lock:
@@ -176,6 +159,5 @@ class ForecastCache:
                 "hits": self._hits,
                 "coalesced": self._coalesced,
                 "misses": self._misses,
-                "invalidations": self._invalidations,
                 "evictions": self._evictions,
             }

@@ -15,15 +15,17 @@ and embedding applications use.  It composes the serving subsystem:
   next-interval forecasts without re-slicing history.  The cache keeps
   frames as pushed (raw flows when the server has a scaler); a forecast
   scales the sample it takes once;
-- optionally a :class:`~repro.serve.results.ForecastCache` memoizing
-  completed streaming forecasts per ``(target index, generation)`` with
-  single-flight dedup (``result_cache >= 1``), invalidated on every
-  clock advance and on hot swap;
+- with the window cache, a :class:`~repro.serve.results.ForecastCache`
+  memoizing streaming forecasts per ``(target index, generation)`` of
+  the window each request sampled (plus the scaler's bounds), with
+  single-flight dedup: the owner of a key runs its forward on its own
+  thread, outside the batcher;
 - optionally an :class:`~repro.serve.autoscale.AutoScaler` resizing the
   replica pool between ``[min_replicas, max_replicas]`` from
   queue-depth/queue-wait telemetry (``max_replicas >= 1``);
 - :class:`~repro.serve.stats.LatencyStats` for p50/p99/throughput
-  instrumentation, read through :meth:`ForecastServer.snapshot`.
+  instrumentation of the micro-batched requests, read through
+  :meth:`ForecastServer.snapshot`.
 
 Checkpoint hot-swap (:meth:`load_checkpoint`) installs verified weights
 with **one write** — into the shared flat buffer under the pool's
@@ -35,7 +37,8 @@ parameter state (see ``docs/serving.md`` for the protocol).
 Consistency contract: for any interleaving of concurrent requests, the
 served rows equal the single-request offline forward
 (``Trainer.predict_scaled``) to float tolerance — enforced in CI by
-``benchmarks/bench_serve_latency.py``.
+``benchmarks/bench_serve_latency.py`` — and every ``forecast_tick``
+answer equals the single-sample forward of its window bitwise.
 """
 
 from __future__ import annotations
@@ -69,10 +72,6 @@ class ServeConfig:
     # (replicas = 0); validated bitwise against eager per plan, with
     # automatic per-size eager fallback.  See docs/performance.md.
     compile: bool = False
-    # Generation-aware forecast result cache (repro.serve.results):
-    # completed streaming forecasts memoized per (target index,
-    # parameter generation) with single-flight dedup.  0 disables.
-    result_cache: int = 8
     # Load-adaptive replica autoscaling (repro.serve.autoscale): with
     # max_replicas >= 1 the server runs an AutoScaler growing/shrinking
     # the pool between [min_replicas, max_replicas] from queue-depth
@@ -93,9 +92,6 @@ class ServeConfig:
             raise ValueError(
                 "compile=True requires replicas=0: compiled forwards "
                 "replay in-process against pinned model parameters")
-        if self.result_cache < 0:
-            raise ValueError(
-                f"result_cache must be >= 0; got {self.result_cache}")
         if (self.min_replicas > 0) != (self.max_replicas > 0):
             raise ValueError(
                 "autoscaling needs both min_replicas and max_replicas "
@@ -166,18 +162,14 @@ class ForecastServer:
         self._started = False
         self._closed = False
         self.autoscaler = None
-        #: Generation-aware forecast result cache (None when disabled).
-        self.results = ForecastCache(self.config.result_cache) \
-            if self.config.result_cache >= 1 else None
         self.cache = None
+        #: Single-flight forecast memo; exists with the window cache.
+        self.results = None
         if periodicity is not None:
             if frame_shape is None:
                 raise ValueError("periodicity requires frame_shape")
             self.cache = WindowCache(periodicity, frame_shape)
-            # Every clock advance (tick or gap) obsoletes memoized
-            # forecasts for older target indices.
-            if self.results is not None:
-                self.cache.on_advance = self._on_window_advance
+            self.results = ForecastCache()
         if self.config.replicas >= 1 and template is None:
             raise ValueError(
                 "replicas >= 1 requires a template SampleBatch to size "
@@ -236,7 +228,8 @@ class ForecastServer:
     # Request path
     # ------------------------------------------------------------------
     def _forward(self, batch: SampleBatch):
-        """One coalesced tape-free forward (batcher thread)."""
+        """One tape-free forward: a coalesced batch on the batcher
+        thread, or a stream forecast's sample on its owner's thread."""
         if self._dtype is not None and batch.target.dtype != self._dtype:
             batch = batch.astype(self._dtype)
         if self._pool is not None:
@@ -248,11 +241,14 @@ class ForecastServer:
             with no_grad():
                 return np.asarray(self.model.predict(batch))
 
-    def submit(self, batch: SampleBatch):
-        """Enqueue a request; returns a future of its prediction rows."""
+    def _require_running(self):
         if not self._started or self._closed:
             raise RuntimeError("server is not running; use it as a context "
                                "manager or call start()")
+
+    def submit(self, batch: SampleBatch):
+        """Enqueue a request; returns a future of its prediction rows."""
+        self._require_running()
         return self._batcher.submit(batch)
 
     def forecast(self, batch: SampleBatch):
@@ -285,19 +281,14 @@ class ForecastServer:
         """Stream ticks observed since the serving weights were installed."""
         return self._ticks_seen - self._generation_tick
 
-    def _on_window_advance(self, count):
-        """WindowCache callback: a clock advance obsoletes cached results."""
-        self.results.invalidate("tick")
-
-    def _next_sample(self):
-        """The cached sample for the next interval, in scaled space.
+    def _scaled(self, sample):
+        """A cached sample in scaled space.
 
         With a scaler the cache holds raw frames; scaling the whole
         sample here equals scaling each frame at push time bitwise
         (min-max scaling is elementwise with global bounds).  The cast
         to the model dtype is left to :meth:`_forward`.
         """
-        sample = self.cache.sample()
         if self.scaler is None:
             return sample
         closeness = self.scaler.transform(sample.closeness)
@@ -311,25 +302,31 @@ class ForecastServer:
     def forecast_tick(self):
         """Next-interval forecast through the forecast result cache.
 
-        Returns ``(prediction, index, generation)``: the scaled ``(2, H,
-        W)`` forecast, the target interval it is for, and the weights'
-        generation.  With the result cache enabled, concurrent requests for the same ``(index,
-        generation)`` cost exactly **one** model forward: the first
-        requester owns the forward, everyone else joins its future, and
-        later requests hit the memo — all receiving the *same*
-        read-only array (bit-identical by construction).  The memo is
-        dropped on every clock advance (``push_tick``/``push_gap``) and
-        on checkpoint hot swap, so a stale generation is never served.
+        Returns ``(prediction, index, generation, imputed)``: the scaled
+        ``(2, H, W)`` forecast, the target interval it is for, the
+        weights' generation, and the carry-forward frames per
+        sub-series in the window it was built on.  Windows, index and
+        counts come from one :meth:`WindowCache.sample`, and the memo
+        key is that sample's ``(index, generation)``, plus the scaler's
+        bounds when the server scales its samples.
+
+        Concurrent requests for one key cost exactly **one** model
+        forward: the first requester owns the key and runs the forward
+        on its own thread — never coalesced with other requests, never
+        waiting out the batching window, so the answer equals the
+        single-sample forward bitwise — everyone else joins its future,
+        and later requests hit the memo, all receiving the *same*
+        read-only array.  A push moves the next sample to a new index,
+        a hot swap bumps the generation and stream adaptation widens the
+        scaler, so a request that starts after any of them never asks
+        for an older key; the memo's LRU bound caps what it keeps.
 
         The returned array is shared and read-only; copy before
         mutating.
         """
         if self.cache is None:
             raise ValueError("streaming needs periodicity + frame_shape")
-        if self.results is None:
-            sample = self._next_sample()
-            return (self.forecast(sample)[0], int(sample.indices[0]),
-                    self.generation)
+        self._require_running()
         # Read the generation BEFORE the forward: the key must name the
         # weights the caller observed when asking.  If a hot swap lands
         # between this read and the forward, the computed value is a
@@ -338,30 +335,27 @@ class ForecastServer:
         # generations) but wrong to memoize under the old key, so the
         # owner rechecks the generation before storing.
         generation = self.generation
-        index = self.cache.next_index
+        sample, imputed = self.cache.sample()
+        index = int(sample.indices[0])
         key = (index, generation)
+        if self.scaler is not None:
+            # Stream adaptation widens the scaler in place, also when
+            # its retrain fails and no new generation is installed: a
+            # window scaled with other bounds is another answer.
+            key += (self.scaler.data_min, self.scaler.data_max)
         kind, token = self.results.lookup(key)
         if kind == "hit":
-            return token, index, generation
+            return token, index, generation, imputed
         if kind == "join":
-            return token.result(), index, generation
+            return token.result(), index, generation, imputed
         try:
-            sample = self._next_sample()
-            if int(sample.indices[0]) != index:
-                # The clock advanced between the lookup and the window
-                # snapshot; the sampled windows target a newer index, so
-                # this key can no longer be computed.  Fail the joiners
-                # (they raced a push; their tick is gone) rather than
-                # publish a mismatched artifact.
-                raise RuntimeError(
-                    f"stream advanced past tick {index} mid-request")
-            prediction = self.forecast(sample)[0]
+            prediction = self._forward(self._scaled(sample))[0]
         except BaseException as exc:
             self.results.fail(key, exc)
             raise
         store = self.generation == generation
         value = self.results.complete(key, prediction, store=store)
-        return value, index, generation
+        return value, index, generation, imputed
 
     # ------------------------------------------------------------------
     # Checkpoint hot swap
@@ -392,11 +386,6 @@ class ForecastServer:
                 self._generation += 1
                 generation = self._generation
         self._generation_tick = self._ticks_seen
-        if self.results is not None:
-            # The generation bump already made the old keys unreachable;
-            # dropping them reclaims the memory now and guarantees no
-            # stale-generation artifact survives the swap.
-            self.results.invalidate("swap")
         return generation
 
     # ------------------------------------------------------------------
@@ -448,10 +437,9 @@ class ForecastServer:
             snap["live_replicas"] = self.replica_count
         if self.cache is not None:
             snap["cache"] = self.cache.snapshot()
+            snap["result_cache"] = self.results.snapshot()
         if self._compiler is not None:
             snap["compile"] = self._compiler.snapshot()
-        if self.results is not None:
-            snap["result_cache"] = self.results.snapshot()
         if self.autoscaler is not None:
             snap["autoscaler"] = self.autoscaler.snapshot()
         return snap

@@ -13,6 +13,10 @@ a :class:`~repro.serve.server.ForecastServer`:
   transform-then-slice and slice-then-transform are bitwise identical
   — and caching raw keeps every cached window valid when adaptation
   widens the scaler bounds mid-stream;
+- a model answer is the server's ``forecast_tick()``: one sample's
+  windows, index and imputed counts, one single-sample forward (or
+  the answer memoized for that window, generation and scaler bounds),
+  then ``inverse_transform``;
 - each model forecast is scored against the truth tick that later
   arrives for its interval; the error feeds a
   :class:`~repro.stream.drift.DriftSentinel`;
@@ -39,7 +43,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.metrics import rmse
-from repro.serve.server import ForecastServer, ServeConfig
+from repro.serve.server import ForecastServer
 from repro.stream import adapt as adaptation
 from repro.stream.adapt import AdaptationConfig, AdaptationError, warm_retrain
 from repro.stream.degrade import StreamingHistoricalAverage
@@ -133,15 +137,8 @@ class StreamRuntime:
         self.frame_shape = tuple(int(s) for s in frame_shape)
         self.model_factory = model_factory
         self.checkpoint_dir = checkpoint_dir
-        # In-process forwards (warm retrains seed from the serving
-        # weights), no forward wait and no result memo.  One sample per
-        # forward: a coalesced batch rounds differently from the
-        # offline single-sample forward, so concurrent forecasts would
-        # lose the clean-stream bit identity.
         self.server = ForecastServer(
-            model, ServeConfig(max_batch=1, max_wait_ms=0.0,
-                               result_cache=0),
-            scaler=scaler, periodicity=periodicity,
+            model, scaler=scaler, periodicity=periodicity,
             frame_shape=frame_shape)
         self.ingestor = StreamIngestor(frame_shape)
         self.history = deque(maxlen=HISTORY)
@@ -355,13 +352,14 @@ class StreamRuntime:
         elif self._degraded_reason is not None:
             reason = self._degraded_reason
         if reason is None:
-            prediction, index, generation = self.server.forecast_tick()
+            prediction, index, generation, imputed = \
+                self.server.forecast_tick()
             flows = self.scaler.inverse_transform(prediction)
             self._last_model_forecast = (index, flows)
             return ForecastResult(
                 index=index, flows=flows, source="model",
                 staleness=self.server.staleness_ticks,
-                generation=generation, imputed=cache.imputed_counts())
+                generation=generation, imputed=imputed)
         return self._fallback(index, reason)
 
     def _fallback(self, index, reason):

@@ -145,7 +145,8 @@ class TestSocketOps:
         with serving_frontend(tiny_data) as (server, frontend, _flows):
             with ForecastClient(frontend.address) as client:
                 prediction, index, generation = client.forecast()
-                local, local_index, local_gen = server.forecast_tick()
+                local, local_index, local_gen, _imputed = \
+                    server.forecast_tick()
                 assert (index, generation) == (local_index, local_gen)
                 assert np.array_equal(prediction, local)
 

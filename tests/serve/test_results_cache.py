@@ -1,4 +1,4 @@
-"""ForecastCache: memoization, single-flight, invalidation, generations."""
+"""ForecastCache: memoization, single-flight, generations."""
 
 import threading
 
@@ -10,10 +10,17 @@ from repro.serve import ForecastCache, ForecastServer, ServeConfig
 from repro.training import save_checkpoint
 
 from tests.serve.conftest import TinyForecaster
+from tests.stream.test_runtime import (
+    SHAPE,
+    make_flows,
+    make_model,
+    make_periodicity,
+)
 
 
 class CountingForecaster(TinyForecaster):
-    """TinyForecaster that counts predict() calls (batcher thread only)."""
+    """TinyForecaster that counts predict() calls (the server runs them
+    one at a time under its forward lock)."""
 
     def __init__(self, data, seed=0):
         super().__init__(data, seed=seed)
@@ -75,16 +82,6 @@ class TestForecastCacheUnit:
         kind, _token = cache.lookup(("k", 0))
         assert kind == "owner"  # failures are not memoized
 
-    def test_invalidate_drops_completed_keeps_inflight(self):
-        cache = ForecastCache()
-        cache.lookup(("done", 0))
-        cache.complete(("done", 0), np.zeros(2))
-        _kind, inflight = cache.lookup(("pending", 0))
-        assert cache.invalidate("tick") == 1
-        assert len(cache) == 0
-        value = cache.complete(("pending", 0), np.ones(2))
-        assert inflight.result(timeout=5) is value
-
     def test_lru_eviction_respects_capacity(self):
         cache = ForecastCache(capacity=2)
         for i in range(3):
@@ -110,56 +107,55 @@ class TestForecastCacheUnit:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             ForecastCache(capacity=0)
-        with pytest.raises(ValueError, match="result_cache"):
-            ServeConfig(result_cache=-1)
 
 
 class TestServerResultCache:
     def test_hit_is_bit_identical_to_recompute(self, tiny_data):
-        cached_model = TinyForecaster(tiny_data)
-        server, _flows = streaming_server(cached_model, tiny_data)
+        model = TinyForecaster(tiny_data)
+        server, _flows = streaming_server(model, tiny_data)
         try:
-            first, index, generation = server.forecast_tick()
-            again, index2, _gen = server.forecast_tick()
+            first, index, _gen, _imputed = server.forecast_tick()
+            again, index2, _gen, _imputed = server.forecast_tick()
             assert again is first and index2 == index
             assert not first.flags.writeable
+            sample, _imputed = server.cache.sample()
         finally:
             server.close()
-        # Uncached recompute on a fresh server: identical bits.
-        plain, _f = streaming_server(TinyForecaster(tiny_data), tiny_data,
-                                     result_cache=0)
-        try:
-            fresh, fresh_index, _gen = plain.forecast_tick()
-            assert plain.results is None
-        finally:
-            plain.close()
-        assert fresh_index == index
-        assert np.array_equal(fresh, first)
+        assert int(sample.indices[0]) == index
+        assert np.array_equal(first, model.predict(sample)[0])
 
     def test_push_tick_invalidates(self, tiny_data):
-        server, flows = streaming_server(TinyForecaster(tiny_data), tiny_data)
+        # After a push the next forecast is a fresh forward for the
+        # next index: its sample carries a new key.
+        model = TinyForecaster(tiny_data)
+        server, flows = streaming_server(model, tiny_data)
         try:
-            _pred, index, _gen = server.forecast_tick()
-            assert len(server.results) == 1
+            first, index, _gen, _imputed = server.forecast_tick()
             server.push_tick(flows[index])
-            assert len(server.results) == 0
-            _pred2, index2, _gen = server.forecast_tick()
-            assert index2 == index + 1
+            pred, index2, _gen, _imputed = server.forecast_tick()
+            sample, _imputed = server.cache.sample()
+            assert server.results.snapshot()["misses"] == 2
         finally:
             server.close()
+        assert index2 == index + 1 == int(sample.indices[0])
+        assert pred is not first
+        assert np.array_equal(pred, model.predict(sample)[0])
 
     def test_push_gap_invalidates(self, tiny_data):
-        server, _flows = streaming_server(TinyForecaster(tiny_data),
-                                          tiny_data)
+        model = TinyForecaster(tiny_data)
+        server, _flows = streaming_server(model, tiny_data)
         try:
-            _pred, index, _gen = server.forecast_tick()
-            assert len(server.results) == 1
+            first, index, _gen, _imputed = server.forecast_tick()
             server.push_gap()
-            assert len(server.results) == 0
-            _pred2, index2, _gen = server.forecast_tick()
-            assert index2 == index + 1
+            pred, index2, _gen, imputed = server.forecast_tick()
+            sample, _imputed = server.cache.sample()
+            assert server.results.snapshot()["misses"] == 2
         finally:
             server.close()
+        assert index2 == index + 1 == int(sample.indices[0])
+        assert imputed["closeness"] == 1
+        assert pred is not first
+        assert np.array_equal(pred, model.predict(sample)[0])
 
     def test_hot_swap_invalidates_and_stale_generation_never_served(
             self, tiny_data, tmp_path):
@@ -169,17 +165,18 @@ class TestServerResultCache:
         server, _flows = streaming_server(TinyForecaster(tiny_data),
                                           tiny_data)
         try:
-            old_pred, index, old_gen = server.forecast_tick()
+            old_pred, index, old_gen, _imputed = server.forecast_tick()
             assert old_gen == 0 and len(server.results) == 1
             server.load_checkpoint(path)
-            assert len(server.results) == 0  # swap dropped the memo
-            new_pred, index2, new_gen = server.forecast_tick()
+            new_pred, index2, new_gen, _imputed = server.forecast_tick()
             assert index2 == index and new_gen == 1
-            # Same tick, new weights: the cache must NOT have replayed
-            # the generation-0 artifact.
+            # Same tick, new weights: the new generation's key misses,
+            # so the cache must NOT have replayed the generation-0
+            # artifact.
+            assert server.results.snapshot()["misses"] == 2
             assert not np.allclose(new_pred, old_pred)
-            reference = other.predict(server.cache.sample())[0]
-            assert np.allclose(new_pred, reference, atol=1e-12)
+            sample, _imputed = server.cache.sample()
+            assert np.array_equal(new_pred, other.predict(sample)[0])
         finally:
             server.close()
 
@@ -211,6 +208,30 @@ class TestServerResultCache:
             assert snap["hits"] + snap["coalesced"] == clients - 1
         finally:
             server.close()
+
+    def test_memo_is_the_single_sample_forward_with_queries_queued(self):
+        # A forecast that misses while single-sample queries wait in an
+        # open batching window runs its own forward: the memoized grid
+        # equals the batch-1 forward of its window bitwise, never a row
+        # of a coalesced batch (which rounds differently).
+        p = make_periodicity()
+        flows = make_flows(p.min_index + 10)
+        model = make_model()
+        config = ServeConfig(max_batch=32, max_wait_ms=50.0)
+        with ForecastServer(model, config, periodicity=p,
+                            frame_shape=SHAPE) as server:
+            for frame in flows[:p.min_index]:
+                server.push_tick(frame)
+            for frame in flows[p.min_index:]:
+                sample, _imputed = server.cache.sample()
+                queued = [server.submit(sample) for _ in range(3)]
+                prediction, index, _gen, _imputed = server.forecast_tick()
+                for future in queued:
+                    future.result(timeout=10.0)
+                assert index == int(sample.indices[0])
+                assert np.array_equal(prediction,
+                                      model.predict(sample)[0]), index
+                server.push_tick(frame)
 
     def test_snapshot_cache_counters(self, tiny_data):
         server, _flows = streaming_server(TinyForecaster(tiny_data),

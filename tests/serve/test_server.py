@@ -147,7 +147,8 @@ class TestStreaming:
                     index = server.push_tick(frame)
                     if index < p.min_index:
                         continue
-                    prediction, got, _generation = server.forecast_tick()
+                    prediction, got, _gen, _imputed = \
+                        server.forecast_tick()
                     assert got == index
                     offline = model.predict(build_samples(
                         scaled, p, [index]).astype(dtype))[0]

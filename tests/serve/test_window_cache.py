@@ -41,12 +41,14 @@ class TestWindowCache:
         for i in range(len(flows)):
             assert cache.ready == (i >= p.min_index)
             if cache.ready:
-                sample = cache.sample()
+                sample, imputed = cache.sample()
                 ref = build_samples(flows, p, [i])
                 assert np.array_equal(sample.closeness, ref.closeness)
                 assert np.array_equal(sample.period, ref.period)
                 assert np.array_equal(sample.trend, ref.trend)
                 assert sample.indices[0] == ref.indices[0] == i
+                assert imputed == {"closeness": 0, "period": 0,
+                                   "trend": 0}
                 checked += 1
             cache.push(flows[i])
         assert checked == 60
@@ -65,12 +67,33 @@ class TestWindowCache:
         flows = make_stream(p.min_index + 10, seed=5)
         cache = WindowCache(p, FRAME_SHAPE)
         push_all(cache, flows[:p.min_index])
-        held = cache.sample()
+        held, _imputed = cache.sample()
         ref = build_samples(flows, p, [p.min_index])
         push_all(cache, flows[p.min_index:])
         assert np.array_equal(held.closeness, ref.closeness)
         assert np.array_equal(held.period, ref.period)
         assert np.array_equal(held.trend, ref.trend)
+
+    def test_samples_between_pushes_share_one_read_only_build(self):
+        # A window never changes at one count, so every sample until
+        # the next push is the same build: read-only, with a counts
+        # dict of the caller's own.
+        p = make_periodicity()
+        flows = make_stream(p.min_index + 1, seed=7)
+        cache = WindowCache(p, FRAME_SHAPE)
+        push_all(cache, flows[:p.min_index])
+        first, imputed = cache.sample()
+        again, _imputed = cache.sample()
+        assert again is first
+        for array in (first.closeness, first.period, first.trend,
+                      first.target, first.indices):
+            assert not array.flags.writeable
+        imputed["closeness"] = 99
+        assert cache.sample()[1]["closeness"] == 0
+        cache.push(flows[p.min_index])
+        after, _imputed = cache.sample()
+        assert after is not first
+        assert after.indices[0] == p.min_index + 1
 
     def test_next_index_tracks_ticks(self):
         p = make_periodicity()
@@ -85,7 +108,7 @@ class TestWindowCache:
         flows = make_stream(p.min_index, dtype=np.float32)
         cache = WindowCache(p, FRAME_SHAPE)
         push_all(cache, flows)
-        sample = cache.sample()
+        sample, _imputed = cache.sample()
         assert sample.closeness.dtype == np.float32
         assert sample.target.dtype == np.float32
         assert sample.target.shape == (1,) + FRAME_SHAPE
@@ -127,7 +150,7 @@ class TestWindowCache:
         pusher.join(10.0)
         sampler.join(10.0)
         assert not pusher.is_alive() and not sampler.is_alive()
-        sample = samples[0]
+        sample, _imputed = samples[0]
         ref = build_samples(flows, p, [int(sample.indices[0])])
         assert np.array_equal(sample.closeness, ref.closeness)
         assert np.array_equal(sample.period, ref.period)
@@ -140,8 +163,9 @@ class TestGapContract:
     The seed behavior simply never advanced the clock on a missing
     interval, silently shifting every later period/trend lag off its
     calendar alignment.  The contract now: a gap advances the clock,
-    fills with the last observed frame, and flags the slot so
-    imputed_counts() reports how much of each sub-series is filled.
+    fills with the last observed frame, and flags the slot so sample()
+    and snapshot()["imputed"] report how much of each sub-series is
+    filled.
     """
 
     def _filled_reference(self, flows, gaps):
@@ -163,7 +187,7 @@ class TestGapContract:
         cache = WindowCache(p, FRAME_SHAPE)
         for i in range(len(flows)):
             if cache.ready:
-                sample = cache.sample()
+                sample, _imputed = cache.sample()
                 ref = build_samples(filled, p, [i])
                 assert np.array_equal(sample.closeness, ref.closeness), i
                 assert np.array_equal(sample.period, ref.period), i
@@ -198,7 +222,8 @@ class TestGapContract:
         cache.push_gap()
         for _ in range(48):
             cache.push(flows[cache.next_index])
-            counts = cache.imputed_counts()
+            _sample, counts = cache.sample()
+            assert cache.snapshot()["imputed"] == counts
             lag = cache.next_index - gap_at  # gap's lag behind the target
             assert counts["closeness"] == (1 if lag <= 3 else 0), lag
             assert counts["period"] == (1 if lag in (8, 16) else 0), lag
@@ -215,11 +240,16 @@ class TestGapContract:
         p = make_periodicity()
         cache = WindowCache(p, FRAME_SHAPE)
         push_all(cache, make_stream(p.min_index, seed=4))
-        assert cache.imputed_counts() == {"closeness": 0, "period": 0,
-                                          "trend": 0}
+        zeros = {"closeness": 0, "period": 0, "trend": 0}
+        assert cache.sample()[1] == zeros
+        assert cache.snapshot()["imputed"] == zeros
         assert cache.gap_count == 0
 
     def test_imputed_counts_before_warmup_raises(self):
+        # Before warm-up there is no window to count: sample() raises
+        # and the snapshot reports None.
         cache = WindowCache(make_periodicity(), FRAME_SHAPE)
+        cache.push_gap()
         with pytest.raises(ValueError, match="not ready"):
-            cache.imputed_counts()
+            cache.sample()
+        assert cache.snapshot()["imputed"] is None

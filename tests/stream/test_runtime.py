@@ -110,6 +110,10 @@ class TestCleanStreamIdentity:
             start.wait()
             for _ in range(25):
                 answers.append(runtime.forecast())
+                # A repeat at one tick is a memo hit costing
+                # microseconds; pace the clients like the ingest so
+                # their answers span several ticks.
+                time.sleep(0.001)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads mid-push
@@ -233,6 +237,30 @@ class TestFaultHandling:
             # The filled interval 20 sits at lag 2, inside L_c = 2.
             assert result.imputed["closeness"] == 1
 
+    def test_imputed_counts_come_from_the_forecast_window(self):
+        # A gap lands between the forecast's sample and its answer, as
+        # a concurrent ingest would: the answer must carry the counts
+        # of its own window (index 20), not those of index 21.
+        flows = make_flows(24)
+        runtime = make_runtime(flows[:20])
+        model = runtime.server.model
+        predict = model.predict
+        calls = []
+
+        def predict_then_ingest(batch):
+            if not calls:
+                runtime.server.push_gap()
+            calls.append(batch)
+            return predict(batch)
+
+        model.predict = predict_then_ingest
+        with runtime:
+            result = runtime.forecast()
+        assert (result.source, result.index) == ("model", 20)
+        assert result.imputed == {"closeness": 0, "period": 0, "trend": 0}
+        assert runtime.server.cache.snapshot()["imputed"] == {
+            "closeness": 1, "period": 0, "trend": 0}
+
     def test_quarantined_tick_changes_nothing(self):
         flows = make_flows(24)
         runtime = make_runtime(flows[:20])
@@ -294,6 +322,35 @@ class TestAdaptation:
         assert (telemetry["retrains"]
                 + len(telemetry["retrain_failures"])) == 2
         assert telemetry["retrain_s"] > 0.0
+
+    def test_failed_retrain_widens_the_scaler_for_the_next_answer(
+            self, tmp_path, monkeypatch):
+        # A retrain that fails its gate has already widened the scaler
+        # in place, with the weights (and so the generation) unchanged.
+        # The next model answer at the same tick must be scaled with
+        # the bounds it is inverted with, as the offline pipeline is,
+        # not be the answer memoized before the widening.
+        flows = make_flows(32)
+        flows[24:] += 30.0  # the stream leaves the warm-up range
+        runtime = make_runtime(
+            flows[:24], config=StreamConfig(
+                auto_adapt=False,
+                adaptation=AdaptationConfig(step_budget=2)),
+            model_factory=make_model, checkpoint_dir=str(tmp_path))
+        monkeypatch.setattr(adapt_mod, "GATE_FACTOR", 1e-9)
+        with runtime:
+            for index in range(24, 28):
+                runtime.ingest(live_tick(flows, index))
+            before = runtime.forecast()
+            assert runtime.adapt() is False
+            runtime.clear_degraded()
+            after = runtime.forecast()
+        assert (after.index, after.generation) == (before.index, 0)
+        scaled = runtime.scaler.transform(flows)
+        offline = runtime.scaler.inverse_transform(np.asarray(
+            Trainer(runtime.server.model).predict_scaled(build_samples(
+                scaled, runtime.periodicity, [after.index])))[0])
+        assert np.array_equal(after.flows, offline)
 
     def test_swap_resets_staleness_clock(self, tmp_path):
         flows = make_flows(40)

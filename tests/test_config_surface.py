@@ -21,8 +21,8 @@ SURFACE = {
         "checkpoint_dir", "checkpoint_every", "resume", "workers", "compile",
     ),
     ServeConfig: (
-        "max_batch", "max_wait_ms", "replicas", "compile", "result_cache",
-        "min_replicas", "max_replicas",
+        "max_batch", "max_wait_ms", "replicas", "compile", "min_replicas",
+        "max_replicas",
     ),
     StreamConfig: ("auto_adapt", "adaptation"),
     AdaptationConfig: ("step_budget", "lr", "recent_boost", "seed"),
