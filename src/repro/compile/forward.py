@@ -18,8 +18,8 @@ pinned in place.  Replay copies the request batch into the pinned input
 arrays, executes the schedule, and returns a *copy* of the output
 buffer — the arena rows are reused by the next replay while callers
 (the micro-batcher's futures) may still hold the result.  The gates
-compare such copies with the eager prediction, rewinding the model's
-sampling generator (``_sample_rng``) if it has one.
+compare such copies with the eager prediction; no generator is
+rewound, because ``predict`` draws no random numbers.
 
 Hot-swapping is compatible by construction:
 ``Module.load_state_dict`` writes parameter arrays in place, and the
@@ -165,7 +165,3 @@ class ForwardCompiler(PlanCache):
         return CompiledForward(plan, pins, prediction, arena,
                                *self._footprint(plan, recorder.scratch,
                                                 packed, packable))
-
-    def _rngs(self):
-        rng = getattr(self.model, "_sample_rng", None)
-        return (rng,) if isinstance(rng, np.random.Generator) else ()

@@ -235,8 +235,8 @@ class PlanCache:
         return result
 
     def _rngs(self):
-        """Generators the call draws from, rewound before each replay."""
-        raise NotImplementedError
+        """Generators the call draws from, rewound per replay; none by default."""
+        return ()
 
     def _drop(self, template):
         """Release a recording that did not become a plan."""

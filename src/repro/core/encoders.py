@@ -58,8 +58,12 @@ class ExclusiveEncoder(Module):
         self.conv = Conv2d(rep_channels, rep_channels, 3, padding="same", rng=rng)
         self.head = GaussianHead(rep_channels * spatial_size, latent_dim, rng=rng)
 
+    def represent(self, features):
+        """The exclusive representation ``Z^i`` alone (what prediction reads)."""
+        return relu(self.conv(features))
+
     def forward(self, features):
-        representation = relu(self.conv(features))
+        representation = self.represent(features)
         return representation, self.head(representation)
 
 
@@ -76,9 +80,12 @@ class InteractiveEncoder(Module):
         self.conv = Conv2d(3 * rep_channels, rep_channels, 3, padding="same", rng=rng)
         self.head = GaussianHead(rep_channels * spatial_size, latent_dim, rng=rng)
 
+    def represent(self, features_c, features_p, features_t):
+        """The interactive representation ``Z^S`` alone."""
+        return relu(self.conv(concat([features_c, features_p, features_t], axis=1)))
+
     def forward(self, features_c, features_p, features_t):
-        fused = concat([features_c, features_p, features_t], axis=1)
-        representation = relu(self.conv(fused))
+        representation = self.represent(features_c, features_p, features_t)
         return representation, self.head(representation)
 
 

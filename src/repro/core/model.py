@@ -29,14 +29,20 @@ from repro.core.encoders import (
     SeriesStem,
     SimplexEncoder,
 )
-from repro.core.losses import UNORDERED_PAIRS, muse_training_loss
+from repro.core.losses import SERIES, UNORDERED_PAIRS, muse_training_loss
 from repro.core.resplus import ResPlusNetwork
 from repro.nn import Conv2d, Module
-from repro.tensor import Tensor, concat, make_rng, no_grad, tanh
+from repro.tensor import Tensor, concat, make_rng, no_grad, relu, tanh
 
 __all__ = ["MuseConfig", "MuseOutputs", "MUSENet"]
 
-SERIES = ("c", "p", "t")
+
+def _stack_frames(series):
+    """(N, L, 2, H, W) array/Tensor -> (N, L*2, H, W) Tensor."""
+    if not isinstance(series, Tensor):
+        series = Tensor(series)
+    n, length, channels, h, w = series.shape
+    return series.reshape((n, length * channels, h, w))
 
 
 class _PlainConvHead(Module):
@@ -51,8 +57,6 @@ class _PlainConvHead(Module):
         self.out = Conv2d(hidden, out_channels, 3, padding="same", rng=rng)
 
     def forward(self, x):
-        from repro.tensor import relu
-
         x = relu(self.conv1(x))
         x = x + relu(self.conv2(x))
         return tanh(self.out(x))
@@ -139,7 +143,9 @@ class MUSENet(Module):
     """Multi-periodicity disentanglement network.
 
     Use :meth:`training_loss` during optimization and :meth:`predict`
-    for inference (posterior means, no sampling noise).
+    for inference: it runs only what the prediction reads (no posterior,
+    latent or decoder), so it is deterministic.  :meth:`encode` runs the
+    full forward for analysis.
     """
 
     def __init__(self, config: MuseConfig, use_spatial=True, use_push=True,
@@ -207,40 +213,31 @@ class MUSENet(Module):
         self._sample_rng = np.random.default_rng(rng.integers(0, 2**31))
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _stack_frames(series):
-        """(N, L, 2, H, W) array/Tensor -> (N, L*2, H, W) Tensor."""
-        if not isinstance(series, Tensor):
-            series = Tensor(series)
-        n, length, channels, h, w = series.shape
-        return series.reshape((n, length * channels, h, w))
+    def _features(self, closeness, period, trend):
+        """Stacked inputs and the stems' convolutional features."""
+        inputs = dict(zip(SERIES, map(_stack_frames, (closeness, period, trend))))
+        stems = {"c": self.stem_c, "p": self.stem_p, "t": self.stem_t}
+        return inputs, {key: stems[key](inputs[key]) for key in SERIES}
+
+    def _fuse(self, representations):
+        """Concatenate ``Z^c, Z^p, Z^t, Z^S`` and run the spatial head."""
+        fused = concat([representations[k] for k in ("c", "p", "t", "s")], axis=1)
+        prediction = self.spatial(fused)
+        return prediction if self.use_spatial else tanh(prediction)
 
     def forward(self, closeness, period, trend, rng=None):
         """Full forward pass; returns :class:`MuseOutputs`."""
         rng = make_rng(rng) if rng is not None else self._sample_rng
-        inputs = {
-            "c": self._stack_frames(closeness),
-            "p": self._stack_frames(period),
-            "t": self._stack_frames(trend),
-        }
-        features = {
-            "c": self.stem_c(inputs["c"]),
-            "p": self.stem_p(inputs["p"]),
-            "t": self.stem_t(inputs["t"]),
-        }
+        inputs, features = self._features(closeness, period, trend)
         exclusive_encoders = {"c": self.exclusive_c, "p": self.exclusive_p,
                               "t": self.exclusive_t}
-        representations = {}
-        exclusive_posteriors = {}
+        representations, exclusive_posteriors = {}, {}
         for key in SERIES:
-            rep, posterior = exclusive_encoders[key](features[key])
-            representations[key] = rep
-            exclusive_posteriors[key] = posterior
+            representations[key], exclusive_posteriors[key] = \
+                exclusive_encoders[key](features[key])
 
-        rep_s, interactive_posterior = self.interactive(
-            features["c"], features["p"], features["t"]
-        )
-        representations["s"] = rep_s
+        representations["s"], interactive_posterior = self.interactive(
+            features["c"], features["p"], features["t"])
 
         simplex_encoders = {"c": self.simplex_c, "p": self.simplex_p,
                             "t": self.simplex_t}
@@ -260,13 +257,8 @@ class MUSENet(Module):
         reconstructions = {key: decoders[key](latents[key], latents["s"])
                            for key in SERIES}
 
-        fused = concat([representations[k] for k in ("c", "p", "t", "s")], axis=1)
-        prediction = self.spatial(fused)
-        if not self.use_spatial:
-            prediction = tanh(prediction)
-
         return MuseOutputs(
-            prediction=prediction,
+            prediction=self._fuse(representations),
             representations=representations,
             exclusive_posteriors=exclusive_posteriors,
             interactive_posterior=interactive_posterior,
@@ -297,10 +289,15 @@ class MUSENet(Module):
         return breakdown, outputs
 
     def predict(self, batch):
-        """Deterministic prediction (no grad, eval mode preserved)."""
+        """Prediction path only: stems, the exclusive and interactive
+        convolutions, then the spatial head (no grad, no rng draw)."""
         with no_grad():
-            outputs = self(batch.closeness, batch.period, batch.trend)
-        return outputs.prediction.data
+            _inputs, f = self._features(batch.closeness, batch.period, batch.trend)
+            reps = {"c": self.exclusive_c.represent(f["c"]),
+                    "p": self.exclusive_p.represent(f["p"]),
+                    "t": self.exclusive_t.represent(f["t"]),
+                    "s": self.interactive.represent(f["c"], f["p"], f["t"])}
+            return self._fuse(reps).data
 
     def encode(self, batch):
         """Return detached representations and posteriors for analysis."""

@@ -19,15 +19,13 @@ import numpy as np
 
 from repro.core.decoders import ReconstructionDecoder
 from repro.core.encoders import DuplexEncoder, ExclusiveEncoder, SeriesStem
-from repro.core.losses import LossBreakdown, UNORDERED_PAIRS
+from repro.core.losses import SERIES, LossBreakdown, UNORDERED_PAIRS
 from repro.core.model import MuseConfig, MUSENet
 from repro.core.resplus import ResPlusNetwork
 from repro.nn import Module, kl_standard_normal
 from repro.tensor import Tensor, concat, make_rng, mean, no_grad, sum_
 
 __all__ = ["PairwiseMUSENet", "VARIANT_NAMES", "make_variant"]
-
-SERIES = ("c", "p", "t")
 
 VARIANT_NAMES = (
     "full",
@@ -91,18 +89,21 @@ class PairwiseMUSENet(Module):
         )
         self._sample_rng = np.random.default_rng(rng.integers(0, 2**31))
 
+    _features = MUSENet._features  # the same stem step
+
+    def _pair_representation(self, features, pair):
+        """``Z^{ij}``: the pair's stem over both sub-series' features."""
+        stem = getattr(self, "rep_" + "".join(pair))
+        return stem(concat([features[pair[0]], features[pair[1]]], axis=1))
+
+    def _fuse(self, reps, pair_reps):
+        """Concatenate the exclusive and pair reps; run the spatial head."""
+        return self.spatial(concat([reps[k] for k in SERIES]
+                                   + [pair_reps[p] for p in UNORDERED_PAIRS], axis=1))
+
     def forward(self, closeness, period, trend, rng=None):
         rng = make_rng(rng) if rng is not None else self._sample_rng
-        inputs = {
-            "c": MUSENet._stack_frames(closeness),
-            "p": MUSENet._stack_frames(period),
-            "t": MUSENet._stack_frames(trend),
-        }
-        features = {
-            "c": self.stem_c(inputs["c"]),
-            "p": self.stem_p(inputs["p"]),
-            "t": self.stem_t(inputs["t"]),
-        }
+        inputs, features = self._features(closeness, period, trend)
         exclusive = {"c": self.exclusive_c, "p": self.exclusive_p, "t": self.exclusive_t}
         reps, posteriors = {}, {}
         for key in SERIES:
@@ -110,13 +111,11 @@ class PairwiseMUSENet(Module):
 
         pair_enc = {("c", "p"): self.pair_cp, ("c", "t"): self.pair_ct,
                     ("p", "t"): self.pair_pt}
-        pair_rep = {("c", "p"): self.rep_cp, ("c", "t"): self.rep_ct,
-                    ("p", "t"): self.rep_pt}
         pair_posteriors, pair_reps = {}, {}
         for pair in UNORDERED_PAIRS:
-            fi, fj = features[pair[0]], features[pair[1]]
-            pair_posteriors[pair] = pair_enc[pair](fi, fj)
-            pair_reps[pair] = pair_rep[pair](concat([fi, fj], axis=1))
+            pair_posteriors[pair] = pair_enc[pair](features[pair[0]],
+                                                   features[pair[1]])
+            pair_reps[pair] = self._pair_representation(features, pair)
 
         latents = {key: posteriors[key].sample(rng) for key in SERIES}
         pair_latents = {pair: pair_posteriors[pair].sample(rng)
@@ -131,11 +130,7 @@ class PairwiseMUSENet(Module):
             shared = concat([pair_latents[p] for p in pairs_of(key)], axis=-1)
             reconstructions[key] = decoders[key](latents[key], shared)
 
-        fused = concat(
-            [reps[k] for k in SERIES] + [pair_reps[p] for p in UNORDERED_PAIRS],
-            axis=1,
-        )
-        prediction = self.spatial(fused)
+        prediction = self._fuse(reps, pair_reps)
         return prediction, posteriors, pair_posteriors, reconstructions, inputs
 
     def training_loss(self, batch, rng=None):
@@ -166,10 +161,15 @@ class PairwiseMUSENet(Module):
         return breakdown, outputs
 
     def predict(self, batch):
-        """Deterministic prediction."""
+        """Prediction path only: stems, exclusive convolutions, pair
+        stems, spatial head (no grad, no rng draw)."""
         with no_grad():
-            prediction, *_rest = self(batch.closeness, batch.period, batch.trend)
-        return prediction.data
+            _inputs, f = self._features(batch.closeness, batch.period, batch.trend)
+            reps = {"c": self.exclusive_c.represent(f["c"]),
+                    "p": self.exclusive_p.represent(f["p"]),
+                    "t": self.exclusive_t.represent(f["t"])}
+            return self._fuse(reps, {pair: self._pair_representation(f, pair)
+                                     for pair in UNORDERED_PAIRS}).data
 
 
 def make_variant(name, config: MuseConfig):

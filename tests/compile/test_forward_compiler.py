@@ -122,19 +122,21 @@ class TestForwardCompiler:
         for _ in range(3):  # build + shadow + first trusted replay
             fc.forward(batch)
 
-        tracemalloc.start()
-        base = tracemalloc.take_snapshot()
-        compiled = fc.forward(batch)
-        compiled_stats = tracemalloc.take_snapshot().compare_to(base,
-                                                                "filename")
-        compiled_bytes = sum(max(s.size_diff, 0) for s in compiled_stats)
+        def peak_bytes(call):
+            # Bytes allocated during the call above what was held before
+            # it: the peak, not the net, since intermediates are freed
+            # by the time the call returns.
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - held
 
-        base = tracemalloc.take_snapshot()
-        eager = eager_predict(muse, batch)
-        eager_stats = tracemalloc.take_snapshot().compare_to(base,
-                                                             "filename")
-        eager_bytes = sum(max(s.size_diff, 0) for s in eager_stats)
-        tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            compiled, compiled_bytes = peak_bytes(lambda: fc.forward(batch))
+            eager, eager_bytes = peak_bytes(lambda: eager_predict(muse, batch))
+        finally:
+            tracemalloc.stop()
 
         np.testing.assert_array_equal(compiled, eager)
         # The replay allocates only the returned copy (plus trace noise);
