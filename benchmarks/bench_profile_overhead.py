@@ -8,6 +8,11 @@ engine's behaviour, where backward closures — and the conv/pool window
 views and padded inputs they capture — stay alive until the whole graph
 is garbage collected).
 
+Both timing arms run on one model, optimizer and batch, in alternating
+blocks of ``BLOCK_STEPS`` steps, so host-speed drift lands in both.
+The snapshot reports each arm's median and quartiles per step and the
+overhead of the medians.  It gates nothing.
+
 Emits a JSON snapshot (default ``BENCH_profiling.json``) that later
 perf PRs can diff against::
 
@@ -22,9 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import tracemalloc
+from contextlib import nullcontext
 from time import perf_counter
 
 import numpy as np
@@ -33,6 +38,12 @@ from repro.core import MuseConfig, MUSENet
 from repro.data import load_dataset, prepare_forecast_data
 from repro.optim import Adam, clip_grad_norm
 from repro.profiling import OpProfiler, profile
+
+#: Steps per arm between switches; smoke and full mode time 30 and 200
+#: steps per arm.
+BLOCK_STEPS = 5
+SMOKE_STEPS = 30
+FULL_STEPS = 200
 
 
 def build_setup(seed=0):
@@ -59,26 +70,45 @@ def training_step(model, optimizer, batch, rng, retain_graph=False):
     return breakdown.total
 
 
-def time_steps(steps, profiled):
-    """Median wall time of one training step, optionally under profile()."""
-    model, optimizer, batch = build_setup()
-    rng = np.random.default_rng(0)
-    training_step(model, optimizer, batch, rng)  # warm-up
+def _timed_block(model, optimizer, batch, rng, steps, profiler=None):
+    """Wall times of ``steps`` training steps, under ``profiler`` if given."""
     times = []
-    if profiled:
-        prof = OpProfiler()
-        with profile(prof):
-            for _ in range(steps):
-                prof.mark()
-                start = perf_counter()
-                training_step(model, optimizer, batch, rng)
-                times.append(perf_counter() - start)
-    else:
+    with profile(profiler) if profiler is not None else nullcontext():
         for _ in range(steps):
+            if profiler is not None:
+                profiler.mark()
             start = perf_counter()
             training_step(model, optimizer, batch, rng)
             times.append(perf_counter() - start)
-    return statistics.median(times)
+    return times
+
+
+def time_arms(steps):
+    """Per-step wall times of both arms, ``steps`` each, on one setup.
+
+    The arms alternate in blocks of ``BLOCK_STEPS``, and the arm that
+    goes first alternates too.  Returns ``{arm: [seconds, ...]}``.
+    """
+    model, optimizer, batch = build_setup()
+    rng = np.random.default_rng(0)
+    training_step(model, optimizer, batch, rng)  # warm-up
+    profiler = OpProfiler()
+    times = {"unprofiled": [], "profiled": []}
+    blocks = max(1, -(-steps // BLOCK_STEPS))
+    for block in range(blocks):
+        arms = ("unprofiled", "profiled")
+        for arm in arms if block % 2 == 0 else arms[::-1]:
+            size = min(BLOCK_STEPS, steps - len(times[arm]))
+            times[arm] += _timed_block(
+                model, optimizer, batch, rng, size,
+                profiler if arm == "profiled" else None)
+    return times
+
+
+def _summary(times):
+    """Median and quartiles of one arm's step times, in seconds."""
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return {"median_s": float(median), "q1_s": float(q1), "q3_s": float(q3)}
 
 
 def measure_tape(retain_graph):
@@ -114,16 +144,18 @@ def one_step_profile():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="few steps; for CI smoke runs")
+                        help=f"{SMOKE_STEPS} steps per arm; for CI smoke runs")
     parser.add_argument("--steps", type=int, default=None,
-                        help="timed steps per configuration (overrides --smoke)")
+                        help="timed steps per arm (overrides --smoke)")
     parser.add_argument("--out", default="BENCH_profiling.json",
                         help="where to write the JSON snapshot")
     args = parser.parse_args(argv)
-    steps = args.steps if args.steps is not None else (3 if args.smoke else 10)
+    steps = args.steps if args.steps is not None else (
+        SMOKE_STEPS if args.smoke else FULL_STEPS)
 
-    unprofiled = time_steps(steps, profiled=False)
-    profiled = time_steps(steps, profiled=True)
+    arms = {arm: _summary(times) for arm, times in time_arms(steps).items()}
+    unprofiled = arms["unprofiled"]["median_s"]
+    profiled = arms["profiled"]["median_s"]
     overhead_pct = 100.0 * (profiled - unprofiled) / unprofiled
 
     peak_freed, traced_freed = measure_tape(retain_graph=False)
@@ -134,10 +166,12 @@ def main(argv=None):
 
     snapshot = {
         "bench": "profiling_overhead",
-        "mode": "smoke" if steps <= 3 else "full",
+        "mode": "smoke" if steps <= SMOKE_STEPS else "full",
         "steps_timed": steps,
+        "block_steps": BLOCK_STEPS,
         "step_time_unprofiled_s": unprofiled,
         "step_time_profiled_s": profiled,
+        "step_time_arms": arms,
         "profiling_overhead_pct": overhead_pct,
         "peak_tape_bytes_freed": int(peak_freed),
         "peak_tape_bytes_retained": int(peak_retained),
@@ -149,8 +183,11 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
 
-    print(f"step time: {unprofiled * 1e3:.2f} ms unprofiled, "
-          f"{profiled * 1e3:.2f} ms profiled ({overhead_pct:+.1f}%)")
+    for arm, stats in arms.items():
+        print(f"step time {arm}: median {stats['median_s'] * 1e3:.2f} ms "
+              f"(quartiles {stats['q1_s'] * 1e3:.2f}-"
+              f"{stats['q3_s'] * 1e3:.2f} ms, {steps} steps)")
+    print(f"profiling overhead (medians): {overhead_pct:+.1f}%")
     print(f"peak tape bytes over 2-step window: {peak_retained} retained -> "
           f"{peak_freed} freed ({reduction_pct:.1f}% lower)")
     print(f"tracemalloc peaks: {traced_retained} retained -> {traced_freed} freed")

@@ -142,13 +142,32 @@ with ForecastClient(address, wait_ready_s=10.0) as client:
 print("autoscaler step OK")
 PYEOF
 
+# A compiled float32 fit that must have compiled.  The fit exits 0 even
+# when every step ran eager (an op with no replay kernel pins its
+# signature to eager), so read its compile report: fail on 0 compiled
+# steps or on a "recording failed" fallback.
+compiled_fit() {
+    local log
+    log="$(python -m repro train MUSE-Net --profile ci --dtype float32 \
+        --compile)" || { echo "$log"; return 1; }
+    echo "$log"
+    if ! grep -qE '^compile: .*, [1-9][0-9]* compiled / ' <<<"$log"; then
+        echo "compiled fit ran no compiled step"
+        return 1
+    fi
+    if grep -q 'recording failed' <<<"$log"; then
+        echo "compiled fit fell back to eager: a recording failed"
+        return 1
+    fi
+}
+
 stage "compiled paths smoke"
 # Both graph compilers through the real CLI: compiled serving forwards
 # (exits 1 if served rows differ from the offline forward by more than
 # 1e-12) and a compiled float32 fit, which prints its compile report.
 run python -m repro serve MUSE-Net --profile ci --compile --requests 64 \
     --concurrency 8
-run python -m repro train MUSE-Net --profile ci --dtype float32 --compile
+run compiled_fit
 
 stage "examples smoke"
 # The one example that drives profile(), Adam and clip_grad_norm by

@@ -21,14 +21,17 @@ so the training *loss* implemented here is the negation.  Term by term
   pair).
 - **Regression** (Eq. 30): squared error between the prediction and the
   true next-interval flows.
+
+Each KL is one :func:`~repro.tensor.gaussian_kl` node and each squared
+error one :func:`~repro.tensor.sum_squares` node, so the objective adds
+20 nodes and the few adds and scalings that weigh them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.nn import kl_diag_gaussians, kl_standard_normal
-from repro.tensor import Tensor, mean, sum_
+from repro.tensor import Tensor, gaussian_kl, sum_squares
 
 __all__ = ["LossBreakdown", "muse_training_loss"]
 
@@ -62,11 +65,11 @@ class LossBreakdown:
         }
 
 
-def _reconstruction_nll(target, reconstruction):
-    """Unit-variance Gaussian NLL of a sub-series (per-sample sum)."""
-    diff = target - reconstruction
-    flat = (diff * diff).flatten(start_axis=1)
-    return mean(sum_(0.5 * flat, axis=-1))
+def _kl(q, p=None):
+    """KL(q || p) between two posteriors; N(0, I) when ``p`` is None."""
+    if p is None:
+        return gaussian_kl(q.mu, q.logvar)
+    return gaussian_kl(q.mu, q.logvar, p.mu, p.logvar)
 
 
 def muse_training_loss(outputs, targets, lam=1.0, use_push=True, use_pull=True,
@@ -104,18 +107,15 @@ def muse_training_loss(outputs, targets, lam=1.0, use_push=True, use_pull=True,
     push_weight = (1.0 + lam) if use_push else 1.0
 
     # -- Eq. 27 (negated): KL regularizers ------------------------------
-    kl_exclusive = sum(
-        kl_standard_normal(outputs.exclusive_posteriors[i].mu,
-                           outputs.exclusive_posteriors[i].logvar)
-        for i in SERIES
-    )
-    kl_interactive = kl_standard_normal(outputs.interactive_posterior.mu,
-                                        outputs.interactive_posterior.logvar)
+    kl_exclusive = sum(_kl(outputs.exclusive_posteriors[i]) for i in SERIES)
+    kl_interactive = _kl(outputs.interactive_posterior)
     dis = push_weight * kl_exclusive + kl_interactive
 
     # -- Eq. 28 (negated): reconstruction -------------------------------
+    # Unit-variance Gaussian NLL of each sub-series (per-sample sum).
     recon = sum(
-        _reconstruction_nll(outputs.series_inputs[i], outputs.reconstructions[i])
+        sum_squares(outputs.series_inputs[i], outputs.reconstructions[i],
+                    scale=0.5)
         for i in SERIES
     )
     push = push_weight * recon
@@ -132,40 +132,32 @@ def muse_training_loss(outputs, targets, lam=1.0, use_push=True, use_pull=True,
     #     bound tight).
     # The two terms have equal value, so the reported `pull` magnitude
     # reflects only the duplex-vs-simplex KLs, but their gradients
-    # implement the max-min bound correctly and stably.
+    # implement the max-min bound correctly and stably.  A stop-gradient
+    # side is a detached posterior: the KL node deposits no gradient
+    # into it.
     if use_pull:
         duplex_vs_simplex = 0.0
         for i, j in UNORDERED_PAIRS:
             duplex = outputs.duplex_posteriors[(i, j)]
             for member in (i, j):
-                simplex = outputs.simplex_posteriors[member]
-                duplex_vs_simplex = duplex_vs_simplex + kl_diag_gaussians(
-                    duplex.mu, duplex.logvar, simplex.mu, simplex.logvar
-                )
+                duplex_vs_simplex = duplex_vs_simplex + _kl(
+                    duplex, outputs.simplex_posteriors[member])
         full = outputs.interactive_posterior
         if pull_mode == "joint":
             # Literal Eq. (29): maximize KL(r || d) jointly over both
             # sides.  Adversarial — r flees d and d flees r.
             full_vs_duplex = 0.0
             for pair in UNORDERED_PAIRS:
-                duplex = outputs.duplex_posteriors[pair]
-                full_vs_duplex = full_vs_duplex + kl_diag_gaussians(
-                    full.mu, full.logvar, duplex.mu, duplex.logvar
-                )
+                full_vs_duplex = full_vs_duplex + _kl(
+                    full, outputs.duplex_posteriors[pair])
             pull = lam * (duplex_vs_simplex - full_vs_duplex)
         else:
             encoder_term = 0.0  # -KL(r || sg(d)): encoder ascends the bound
             tighten_term = 0.0  # +KL(sg(r) || d): duplex chases r
             for pair in UNORDERED_PAIRS:
                 duplex = outputs.duplex_posteriors[pair]
-                frozen_duplex = duplex.detach()
-                frozen_full = full.detach()
-                encoder_term = encoder_term - kl_diag_gaussians(
-                    full.mu, full.logvar, frozen_duplex.mu, frozen_duplex.logvar
-                )
-                tighten_term = tighten_term + kl_diag_gaussians(
-                    frozen_full.mu, frozen_full.logvar, duplex.mu, duplex.logvar
-                )
+                encoder_term = encoder_term - _kl(full, duplex.detach())
+                tighten_term = tighten_term + _kl(full.detach(), duplex)
             pull = lam * (duplex_vs_simplex + encoder_term + tighten_term)
     else:
         pull = Tensor(0.0)
@@ -175,8 +167,7 @@ def muse_training_loss(outputs, targets, lam=1.0, use_push=True, use_pull=True,
     # per-sample sum, like the KL and reconstruction terms), not the
     # elementwise mean — using the mean under-weights regression by a
     # factor of 2*H*W and lets the generative terms swamp it.
-    diff = outputs.prediction - targets
-    reg = mean(sum_((diff * diff).flatten(start_axis=1), axis=-1))
+    reg = sum_squares(outputs.prediction, targets)
 
     if gen_weight != 1.0:
         dis = gen_weight * dis

@@ -22,8 +22,9 @@ from repro.core.encoders import DuplexEncoder, ExclusiveEncoder, SeriesStem
 from repro.core.losses import SERIES, LossBreakdown, UNORDERED_PAIRS
 from repro.core.model import MuseConfig, MUSENet
 from repro.core.resplus import ResPlusNetwork
-from repro.nn import Module, kl_standard_normal
-from repro.tensor import Tensor, concat, make_rng, mean, no_grad, sum_
+from repro.nn import Module
+from repro.tensor import (Tensor, concat, gaussian_kl, make_rng, no_grad,
+                          sum_squares)
 
 __all__ = ["PairwiseMUSENet", "VARIANT_NAMES", "make_variant"]
 
@@ -140,20 +141,13 @@ class PairwiseMUSENet(Module):
             batch.closeness, batch.period, batch.trend, rng=rng
         )
         lam = self.config.lam
-        kl = sum(
-            kl_standard_normal(posteriors[k].mu, posteriors[k].logvar)
-            for k in SERIES
-        )
-        kl = kl + sum(
-            kl_standard_normal(pair_posteriors[p].mu, pair_posteriors[p].logvar)
-            for p in UNORDERED_PAIRS
-        )
-        recon = Tensor(0.0)
-        for key in SERIES:
-            diff = inputs[key] - recons[key]
-            recon = recon + mean(sum_((0.5 * diff * diff).flatten(start_axis=1), axis=-1))
-        diff = prediction - Tensor(batch.target)
-        reg = mean(sum_((diff * diff).flatten(start_axis=1), axis=-1))
+        kl = sum(gaussian_kl(posteriors[k].mu, posteriors[k].logvar)
+                 for k in SERIES)
+        kl = kl + sum(gaussian_kl(pair_posteriors[p].mu, pair_posteriors[p].logvar)
+                      for p in UNORDERED_PAIRS)
+        recon = sum(sum_squares(inputs[key], recons[key], scale=0.5)
+                    for key in SERIES)
+        reg = sum_squares(prediction, Tensor(batch.target))
         total = self.config.gen_weight * (1.0 + lam) * (kl + recon) + reg
         breakdown = LossBreakdown(total=total, dis=kl, push=recon,
                                   pull=Tensor(0.0), reg=reg)

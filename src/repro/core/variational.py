@@ -36,7 +36,11 @@ class GaussianPosterior:
         return reparameterize(self.mu, self.logvar, rng)
 
     def detach(self):
-        """A stop-gradient copy (used for bound-tightening terms)."""
+        """A stop-gradient view: new tensors sharing ``mu`` and ``logvar``'s data.
+
+        The bound-tightening terms pass it to ``gaussian_kl``, which
+        deposits no gradient into inputs that do not require it.
+        """
         return GaussianPosterior(mu=self.mu.detach(), logvar=self.logvar.detach())
 
 

@@ -37,7 +37,8 @@ __all__ = ["Finding", "ModuleCost", "ModelReport", "check_model",
            "check_method"]
 
 #: FLOPs are reported per traced sample (batch size 1).
-_REDUCTION_OPS = {"sum", "mean", "max", "min", "logsumexp"}
+_REDUCTION_OPS = {"sum", "mean", "max", "min", "logsumexp", "gaussian_kl",
+                  "sum_squares"}
 
 
 @dataclass

@@ -92,6 +92,8 @@ def gradcheck_cases():
     _W43 = _const(4, 3)
     _W36 = _const(3, 6)
     _W234 = _const(2, 3, 4)
+    # Untracked (stop-gradient) inputs for the fused loss terms.
+    _MU, _LOGVAR = _const(3, 4, seed=101), _const(3, 4, seed=102)
 
     cases = {
         # ops.py ------------------------------------------------------
@@ -116,6 +118,17 @@ def gradcheck_cases():
         "std": (lambda ts: rt.std(ts[0], axis=1, eps=1e-3).sum(), [_t(3, 4)]),
         "logsumexp": (lambda ts: rt.logsumexp(ts[0], axis=1).sum(),
                       [_t(3, 4)]),
+        # KL(q || p) with both sides tracked, KL to N(0, I), and each
+        # side against an untracked one.
+        "gaussian_kl": (lambda ts: rt.gaussian_kl(ts[0], ts[1], ts[2], ts[3])
+                        + rt.gaussian_kl(ts[2], ts[3])
+                        + rt.gaussian_kl(ts[0], ts[1], _MU, _LOGVAR)
+                        + rt.gaussian_kl(_MU, _LOGVAR, ts[2], ts[3]),
+                        [_t(3, 4), _t(3, 4, seed=1), _t(3, 4, seed=2),
+                         _t(3, 4, seed=3)]),
+        "sum_squares": (lambda ts: rt.sum_squares(ts[0], ts[1], scale=0.5)
+                        + rt.sum_squares(_W234, ts[1]),
+                        [_t(2, 3, 4), _t(2, 3, 4, seed=1)]),
         # shape.py ----------------------------------------------------
         "reshape": (lambda ts: (ts[0].reshape((4, 3)) * _W43).sum(),
                     [_t(3, 4)]),

@@ -224,6 +224,12 @@ def _sum(vals):
     return TOP
 
 
+def _nonnegative(vals):
+    # A KL divergence (Gibbs' inequality) and a non-negatively scaled
+    # sum of squares are never negative, whatever their inputs.
+    return Interval(0.0, _INF)
+
+
 def _within(vals):
     # Reductions/reshapes whose output values are drawn from (or stay
     # within the hull of) the input values.
@@ -256,6 +262,8 @@ _RULES = {
     "relu": _relu,
     "pow": _pow,
     "sum": _sum,
+    "gaussian_kl": _nonnegative,
+    "sum_squares": _nonnegative,
     "mean": _within,
     "max": _within,
     "reshape": _within,

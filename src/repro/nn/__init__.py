@@ -16,7 +16,7 @@ from repro.nn.graph import (
     grid_adjacency,
     normalize_adjacency,
 )
-from repro.nn.losses import kl_diag_gaussians, kl_standard_normal, mse_loss
+from repro.nn.losses import mse_loss
 
 __all__ = [
     "Module", "Parameter", "init",
@@ -26,5 +26,5 @@ __all__ = [
     "MultiHeadAttention", "scaled_dot_product_attention",
     "GraphConv", "ChebConv", "AdaptiveGraphConv",
     "grid_adjacency", "normalize_adjacency",
-    "mse_loss", "kl_standard_normal", "kl_diag_gaussians",
+    "mse_loss",
 ]

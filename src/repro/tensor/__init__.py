@@ -38,7 +38,16 @@ from repro.tensor.ops import (
     sub,
     tanh,
 )
-from repro.tensor.reductions import logsumexp, max_, mean, std, sum_, var
+from repro.tensor.reductions import (
+    gaussian_kl,
+    logsumexp,
+    max_,
+    mean,
+    std,
+    sum_,
+    sum_squares,
+    var,
+)
 from repro.tensor.shape import (
     broadcast_to,
     concat,
@@ -105,7 +114,8 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "pow_", "exp", "log", "sqrt",
     "tanh", "sigmoid", "relu", "unbroadcast",
     # reductions
-    "sum_", "mean", "max_", "var", "std", "logsumexp",
+    "sum_", "mean", "max_", "var", "std", "logsumexp", "gaussian_kl",
+    "sum_squares",
     # shape
     "reshape", "transpose", "swapaxes", "flatten", "concat", "stack", "split",
     "getitem", "broadcast_to",

@@ -22,7 +22,7 @@ _CASES = gradcheck_cases()
 class TestCoverage:
     def test_discovery_finds_the_full_op_surface(self):
         registry = registered_ops()
-        assert len(registry) == 30
+        assert len(registry) == 32
         assert set(registry.values()) <= set(OP_MODULES)
         # Spot-check each module contributes.
         assert registry["matmul"] == "repro.tensor.matmul"
