@@ -2,7 +2,7 @@
 
 :func:`conv2d` is an im2col convolution in a *K-major* layout.  The
 forward pass takes the receptive fields of the (padded) input as a
-zero-copy ``sliding_window_view`` and packs them, with one
+zero-copy view, by stride arithmetic, and packs them, with one
 ``np.copyto``, into a scratch buffer of shape
 ``(C_in, KH, KW, N, H', W')``: the contracted axes lead, in the
 weight's own ``(C_in, KH, KW)`` order, and the output positions trail.
@@ -28,12 +28,12 @@ axes swapped — one K-major pack of ``(C_out, KH, KW, N, H, W)`` and
 one GEMM, instead of a ``dcol`` GEMM scattered back by ``KH*KW``
 strided slab adds into a fresh zeroed array.  Every workspace (im2col,
 GEMM output, padded gradient, flipped kernel) comes from a
-:class:`~repro.tensor.scratch.ScratchPool` and is reused across calls.
-A pooled buffer is shared by every conv of the same shape, so the
-backward repacks ``col`` from the window view it keeps (a later conv
-may have overwritten the buffer) instead of holding a private copy on
-the tape, and zeroes the padded gradient on every call (convs with
-another padding or stride place their gradient elsewhere in it).
+:class:`~repro.tensor.scratch.ScratchPool`, which also keeps the views
+onto them that a call signature (shapes, stride, padding, dtypes) fixes,
+so a warm call pays only for its pad, copies and GEMMs.  A pooled
+``col`` is shared by every conv of its shape, so the backward repacks
+it from the window view it keeps.  The padded gradient is the
+signature's own, zeroed once: every call writes the same positions.
 
 Under an active :mod:`repro.compile` recorder every op additionally
 registers an in-place refresh kernel so a compiled plan can recompute
@@ -43,7 +43,7 @@ the output buffers without rebuilding the graph.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.tensor import tensor as _core
 from repro.tensor.scratch import default_pool
@@ -57,6 +57,85 @@ def _pair(value):
     if isinstance(value, int):
         return (value, value)
     return tuple(value)
+
+
+def _windows(src, shape, stride):
+    """Read-only K-major view of ``src``'s receptive fields, no copy:
+    ``(c, i, j, b, y, z)`` is ``src[b, c, y*sh + i, z*sw + j]``."""
+    s0, s1, s2, s3 = src.strides
+    strides = (s1, s2, s3, s0, s2 * stride[0], s3 * stride[1])
+    if not src.flags.c_contiguous:
+        return as_strided(src, shape, strides, writeable=False)
+    view = np.ndarray(shape, src.dtype, buffer=src, strides=strides)
+    view.flags.writeable = False
+    return view
+
+
+def _workspace(pool, kind, signature, *args):
+    """``kind(pool, signature, *args)``, built once per signature on
+    ``pool``; each call counts its bytes as requested, as ``get`` does."""
+    key = (kind, signature)
+    ws = pool._signatures.get(key)
+    if ws is None:
+        ws = pool._signatures[key] = kind(pool, signature, *args)
+    else:
+        pool.requested_bytes += ws.nbytes
+    return ws
+
+
+class _Forward:
+    """The forward's pooled ``col`` and GEMM buffers, with their views."""
+
+    def __init__(self, pool, signature):
+        (n, c_in, h, w), (c_out, _, kh, kw), sh, sw, ph, pw, *dts = signature
+        h_out, w_out = (h + 2*ph - kh) // sh + 1, (w + 2*pw - kw) // sw + 1
+        dt = np.result_type(*dts)
+        self.col = pool.get("conv2d.col", (c_in, kh, kw, n, h_out, w_out), dt)
+        self.col2 = self.col.reshape(c_in * kh * kw, -1)
+        self.gemm = pool.get("conv2d.gemm", (c_out, self.col2.shape[1]), dt)
+        # (C_out, N, H', W') -> (N, C_out, H', W') view over the GEMM output.
+        self.result = self.gemm.reshape(c_out, n, h_out, w_out).swapaxes(0, 1)
+        self.nbytes = self.col.nbytes + self.gemm.nbytes
+
+
+class _InputGrad:
+    """The input gradient, a transposed conv, of one forward signature.
+
+    Output gradient row ``i`` lands at padded row ``k - 1 - p + i*s``;
+    rows outside ``[0, H + KH - 1)`` see only zero padding: cropped.
+    """
+
+    def __init__(self, pool, signature, grad_shape):
+        (n, c_in, h, w), (c_out, _, kh, kw), sh, sw, ph, pw, *dts = signature
+        (h_out, w_out), dt = grad_shape[2:], np.result_type(*dts)
+        hp, wp = h + kh - 1, w + kw - 1
+        gpad = pool.get(("conv2d.gpad", signature), (n, c_out, hp, wp), dt)
+        gpad.fill(0)
+        top, left = kh - 1 - ph, kw - 1 - pw
+        i0, i1 = max(0, -(top // sh)), min(h_out, -((top - hp) // sh))
+        j0, j1 = max(0, -(left // sw)), min(w_out, -((left - wp) // sw))
+        i1, j1 = max(i0, i1), max(j0, j1)  # all cropped: empty slices
+        r0, c0 = top + i0 * sh, left + j0 * sw
+        self.src = np.s_[:, :, i0:i1, j0:j1]
+        self.dst = gpad[:, :, r0:r0 + (i1 - i0) * sh:sh,
+                        c0:c0 + (j1 - j0) * sw:sw]
+        self.flipped = pool.get("conv2d.wflip", (c_in, c_out, kh, kw), dt)
+        self.col = pool.get("conv2d.col", (c_out, kh, kw, n, h, w), dt)
+        self.gemm = pool.get("conv2d.gemm", (c_in, n * h * w), dt)
+        self.windows = _windows(gpad, self.col.shape, (1, 1))
+        self.flipped2 = self.flipped.reshape(c_in, -1)
+        self.col2 = self.col.reshape(self.flipped2.shape[1], -1)
+        self.result = self.gemm.reshape(c_in, n, h, w).swapaxes(0, 1)
+        self.nbytes = sum(a.nbytes for a in (gpad, self.flipped, self.col,
+                                             self.gemm))
+
+    def __call__(self, grad, weight):
+        """``(N, C_in, H, W)``, a view valid until the pool's next conv."""
+        np.copyto(self.dst, grad[self.src])
+        np.copyto(self.flipped, weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        np.copyto(self.col, self.windows)
+        np.matmul(self.flipped2, self.col2, out=self.gemm)
+        return self.result
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
@@ -95,6 +174,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
         # reference, so recording must draw from the recorder's private
         # pool, never the shared thread-local one.
         pool = recorder.scratch if recorder is not None else default_pool()
+    signature = (x.shape, weight.shape, sh, sw, ph, pw, x.dtype, weight.dtype)
+    ws = _workspace(pool, _Forward, signature)
 
     if ph or pw:
         # Bitwise what np.pad builds, without its per-call overhead.
@@ -104,46 +185,34 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
         inner[...] = x.data
     else:
         x_pad, inner = x.data, None
-    h_out = (h + 2 * ph - kh) // sh + 1
-    w_out = (w + 2 * pw - kw) // sw + 1
 
-    # (C_in, KH, KW, N, H', W') view of all receptive fields.
-    win_t = sliding_window_view(x_pad, (kh, kw), axis=(2, 3))[
-        :, :, ::sh, ::sw].transpose(1, 4, 5, 0, 2, 3)
-    ck = c_in * kh * kw
-    rows = n * h_out * w_out
-    dt = np.result_type(x.dtype, weight.dtype)
-    col = pool.get("conv2d.col", (c_in, kh, kw, n, h_out, w_out), dt)
-    gemm_out = pool.get("conv2d.gemm", (c_out, rows), dt)
-    col2 = col.reshape(ck, rows)
-    np.copyto(col, win_t)
-    np.matmul(weight.data.reshape(c_out, ck), col2, out=gemm_out)
-    # (C_out, N, H', W') -> (N, C_out, H', W') view over the GEMM output.
-    result_t = gemm_out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+    win_t = _windows(x_pad, ws.col.shape, (sh, sw))
+    np.copyto(ws.col, win_t)
+    np.matmul(weight.data.reshape(c_out, -1), ws.col2, out=ws.gemm)
 
     parents = [x, weight]
     bias_t = None
     if bias is not None:
         bias_t = as_tensor(bias)
-        out = result_t + bias_t.data[None, :, None, None]
+        out = ws.result + bias_t.data[None, :, None, None]
         parents.append(bias_t)
     else:
         # A copy even when the view is already contiguous (N == 1): the
         # result must never alias the pooled GEMM buffer.
-        out = result_t.copy()
+        out = ws.result.copy()
 
     def backward(grad):
         # (N, C_out, H', W') -> (C_out, N*H'*W'), the GEMM's layout.
-        g2 = grad.transpose(1, 0, 2, 3).reshape(c_out, rows)
+        g2 = grad.transpose(1, 0, 2, 3).reshape(c_out, -1)
         if weight.requires_grad:
             # Repack: a later same-shape conv may own the buffer now.
-            np.copyto(col, win_t)
-            grad_w = np.matmul(g2, col2.T)
+            np.copyto(ws.col, win_t)
+            grad_w = np.matmul(g2, ws.col2.T)
             weight._accumulate_grad(grad_w.reshape(weight.shape))
         if x.requires_grad:
             # The weight GEMM is done: its pooled buffers are free.
-            x._accumulate_grad(_input_grad(grad, weight.data, pool, dt,
-                                           (sh, sw), (ph, pw), (h, w)))
+            input_grad = _workspace(pool, _InputGrad, signature, grad.shape)
+            x._accumulate_grad(input_grad(grad, weight.data))
         if bias_t is not None and bias_t.requires_grad:
             bias_t._accumulate_grad(grad.sum(axis=(0, 2, 3)))
 
@@ -161,51 +230,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, scratch=None):
         def refresh():
             if inner is not None:
                 inner[...] = x_d
-            np.copyto(col, win_t)
-            np.matmul(w_d.reshape(c_out, ck), col2, out=gemm_out)
+            np.copyto(ws.col, win_t)
+            np.matmul(w_d.reshape(c_out, -1), ws.col2, out=ws.gemm)
             if b_d is not None:
-                np.add(result_t, b_d[None, :, None, None], out=out_d)
+                np.add(ws.result, b_d[None, :, None, None], out=out_d)
             else:
-                np.copyto(out_d, result_t)
+                np.copyto(out_d, ws.result)
 
         recorder.run(refresh, reads=reads, writes=(out_d,))
 
     return result
-
-
-def _input_grad(grad, weight, pool, dt, stride, padding, size):
-    """conv2d's input gradient as one stride-1 correlation.
-
-    Returns an ``(N, C_in, H, W)`` view over a pooled GEMM buffer, valid
-    until the next conv on the pool.  Output gradient row ``i`` lands
-    at padded row ``k - 1 - p + i*s``; rows outside ``[0, H + KH - 1)``
-    belong to windows lying wholly in the input's zero padding and are
-    cropped.
-    """
-    n, c_out, h_out, w_out = grad.shape
-    _, c_in, kh, kw = weight.shape
-    (sh, sw), (ph, pw), (h, w) = stride, padding, size
-    hp, wp = h + kh - 1, w + kw - 1
-    gpad = pool.get("conv2d.gpad", (n, c_out, hp, wp), dt)
-    gpad.fill(0)
-    top, left = kh - 1 - ph, kw - 1 - pw
-    i0, i1 = max(0, -(top // sh)), min(h_out, -((top - hp) // sh))
-    j0, j1 = max(0, -(left // sw)), min(w_out, -((left - wp) // sw))
-    if i1 > i0 and j1 > j0:
-        r0, c0 = top + i0 * sh, left + j0 * sw
-        np.copyto(gpad[:, :, r0:r0 + (i1 - i0 - 1) * sh + 1:sh,
-                       c0:c0 + (j1 - j0 - 1) * sw + 1:sw],
-                  grad[:, :, i0:i1, j0:j1])
-    flipped = pool.get("conv2d.wflip", (c_in, c_out, kh, kw), dt)
-    np.copyto(flipped, weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    col = pool.get("conv2d.col", (c_out, kh, kw, n, h, w), dt)
-    np.copyto(col, sliding_window_view(gpad, (kh, kw), axis=(2, 3))
-              .transpose(1, 4, 5, 0, 2, 3))
-    ck = c_out * kh * kw
-    gemm = pool.get("conv2d.gemm", (c_in, n * h * w), dt)
-    np.matmul(flipped.reshape(c_in, ck), col.reshape(ck, n * h * w),
-              out=gemm)
-    return gemm.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
 
 
 def global_avg_pool2d(x):

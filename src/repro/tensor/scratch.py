@@ -21,9 +21,9 @@ Two pools exist:
   across all conv calls" of the plan (same-shaped convolutions get the
   same buffer; every kernel rewrites it fully before use).
 
-``requested_bytes`` accumulates the bytes of every ``get`` request
-while ``nbytes`` is the pool's actual footprint; their ratio is the
-buffer-reuse percentage reported by the compile profiling counters.
+``requested_bytes`` adds up the bytes every ``get`` and every conv call
+asks for, while ``nbytes`` is the pool's actual footprint; their ratio
+is the buffer-reuse percentage reported by the compile profiling counters.
 """
 
 from __future__ import annotations
@@ -36,10 +36,13 @@ __all__ = ["ScratchPool", "default_pool"]
 
 
 class ScratchPool:
-    """Keyed, persistent scratch arrays (never returned, never freed)."""
+    """Keyed, persistent scratch arrays (never returned, never freed),
+    and :func:`~repro.tensor.conv2d`'s workspaces: views onto them, built
+    once per call signature, whose bytes every call still requests."""
 
     def __init__(self):
         self._buffers = {}
+        self._signatures = {}
         self.requested_bytes = 0
 
     def get(self, tag, shape, dtype):
@@ -71,8 +74,9 @@ class ScratchPool:
         return 100.0 * (1.0 - self.nbytes / self.requested_bytes)
 
     def clear(self):
-        """Drop every buffer (callers holding references keep theirs)."""
+        """Drop every buffer and workspace (callers keep their references)."""
         self._buffers.clear()
+        self._signatures.clear()
         self.requested_bytes = 0
 
 

@@ -14,9 +14,11 @@ Two references pin the kernel down:
 import tracemalloc
 
 import numpy as np
+import numpy.lib.stride_tricks as stride_tricks
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import repro.tensor.conv as conv_module
 from repro.tensor import Tensor, no_grad
 from repro.tensor.conv import conv2d
 from repro.tensor.scratch import ScratchPool, default_pool
@@ -96,6 +98,7 @@ GRAD_CASES = [(3, s, p, b, True, (4, 5)) for s, p, b in CASES] + [
     (3, 1, 1, True, False, (4, 5)),   # input without grad: weight/bias only
     (3, 2, 1, True, True, (3, 16)),   # C_out > C_in: channel axes swapped
     (1, 1, 1, False, True, (4, 5)),   # padding >= kernel: gradient cropped
+    (1, 13, 3, True, True, (4, 5)),   # every output in the padding: all cropped
 ]
 
 
@@ -208,11 +211,11 @@ class TestBitwiseEquality:
             np.testing.assert_array_equal(a, c)
 
     def test_padded_gradient_is_zeroed_on_every_call(self, rng):
-        """Two convs whose padded output gradients share a pooled buffer
-        (same key) but place their entries differently: padding 1 fills
-        rows 1-6 and columns 1-10 of it, padding 0 only rows 2-5 and
-        columns 2-9.  The second backward must see zeros, not the
-        first one's border."""
+        """Two convs whose padded output gradients have one shape but
+        place their entries differently: padding 1 fills rows 1-6 and
+        columns 1-10 of it, padding 0 only rows 2-5 and columns 2-9.
+        The second backward must see zeros, not the first one's
+        border."""
         x = rng.standard_normal((8, 16, 6, 10))
         w = rng.standard_normal((16, 16, 3, 3))
 
@@ -228,9 +231,87 @@ class TestBitwiseEquality:
 
         shared = ScratchPool()
         got = run(lambda: shared)
-        assert sum(tag == "conv2d.gpad" for tag, _, _ in shared._buffers) == 1
+        # One padded gradient per signature: same shape, own zeros.
+        gpads = [shape for tag, shape, _ in shared._buffers
+                 if tag[0] == "conv2d.gpad"]
+        assert gpads == [(8, 16, 8, 12)] * 2
         expected = run(ScratchPool)
         for a, c in zip(got, expected):
+            np.testing.assert_array_equal(a, c)
+
+    def test_padded_gradients_of_one_shape_keep_their_own_zeros(self, rng):
+        """A kernel-3 conv on 6x10 and a kernel-5 conv on 4x8, both at
+        padding 1, pad their output gradients to one shape, (2, 3, 8,
+        12), but place them at offsets 1 and 3.  Interleaved A, B, A, B
+        on one pool (each then runs after the other's first call), every
+        result must equal an own-pool run bitwise."""
+        shapes = {"A": ((2, 4, 6, 10), (3, 4, 3, 3)),
+                  "B": ((2, 4, 4, 8), (3, 4, 5, 5))}
+        arrays = {name: (rng.standard_normal(x_shape),
+                         rng.standard_normal(w_shape))
+                  for name, (x_shape, w_shape) in shapes.items()}
+
+        def run(name, pool):
+            x, w = arrays[name]
+            xt = Tensor(x.copy(), requires_grad=True)
+            wt = Tensor(w.copy(), requires_grad=True)
+            out = conv2d(xt, wt, padding=1, scratch=pool)
+            (out * out).sum().backward()
+            return out.data, xt.grad, wt.grad
+
+        shared = ScratchPool()
+        for name in "ABAB":
+            for a, c in zip(run(name, shared), run(name, ScratchPool())):
+                np.testing.assert_array_equal(a, c)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k,stride,padding,use_bias,x_grad,channels",
+                             GRAD_CASES, ids=GRAD_IDS)
+    def test_forward_is_the_same_in_every_mode(self, rng, dtype, k, stride,
+                                               padding, use_bias, x_grad,
+                                               channels):
+        """A no-grad and a grad-mode forward on the thread's pool (the
+        second followed by its backward) and an explicit-pool forward
+        share a signature: all equal the fresh-array kernel bitwise."""
+        c_in, c_out = channels
+        x = rng.standard_normal((3, c_in, 9, 8)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype) if use_bias else None
+
+        def forward(**kwargs):
+            out = conv2d(Tensor(x, requires_grad=x_grad),
+                         Tensor(w, requires_grad=True),
+                         None if b is None else Tensor(b, requires_grad=True),
+                         stride=stride, padding=padding, **kwargs)
+            return out, out.data.copy()
+
+        with no_grad():
+            _, quiet = forward()
+        tracked, tracked_data = forward()
+        tracked.sum().backward()
+        _, explicit = forward(scratch=ScratchPool())
+        expected = fresh_conv2d(x, w, b, stride=stride, padding=padding)
+        for got in (quiet, tracked_data, explicit):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_noncontiguous_unpadded_input(self, rng):
+        """An unpadded input that is a transposed view has no contiguous
+        buffer to view: output and gradients equal a contiguous copy's."""
+        x = rng.standard_normal((2, 7, 9, 4)).transpose(0, 3, 1, 2)
+        w = rng.standard_normal((5, 4, 3, 3))
+        upstream = rng.standard_normal((2, 5, 5, 4))
+        assert not x.flags.c_contiguous
+
+        def run(data):
+            xt = Tensor(data, requires_grad=True)
+            wt = Tensor(w.copy(), requires_grad=True)
+            out = conv2d(xt, wt, stride=(1, 2))
+            (out * Tensor(upstream)).sum().backward()
+            return out.data, xt.grad, wt.grad
+
+        got = run(x)
+        np.testing.assert_array_equal(got[0], fresh_conv2d(x, w, stride=(1, 2)))
+        for a, c in zip(got, run(np.ascontiguousarray(x))):
             np.testing.assert_array_equal(a, c)
 
 
@@ -324,6 +405,68 @@ class TestScratchReuse:
             kept = first.data.copy()
             conv2d(Tensor(-x), Tensor(w), padding=1, scratch=pool)
         np.testing.assert_array_equal(first.data, kept)
+
+    def test_warm_calls_request_no_buffer_and_build_no_window_view(
+            self, rng, monkeypatch):
+        """After a warm-up, the forward, the weight-gradient repack and
+        the input gradient run on their signature's cached workspaces:
+        no pool lookup, no ``sliding_window_view``."""
+        x = rng.standard_normal((2, 3, 7, 6))
+        w = rng.standard_normal((4, 3, 3, 3))
+        pool = ScratchPool()
+
+        def step():
+            xt = Tensor(x, requires_grad=True)
+            wt = Tensor(w, requires_grad=True)
+            out = conv2d(xt, wt, stride=2, padding=1, scratch=pool)
+            (out * out).sum().backward()
+            return out.data, xt.grad, wt.grad
+
+        expected = step()
+        calls = []
+        get = ScratchPool.get
+
+        def counted_get(self, *args):
+            calls.append("get")
+            return get(self, *args)
+
+        def counted_windows(*args, **kwargs):
+            calls.append("sliding_window_view")
+            return sliding_window_view(*args, **kwargs)
+
+        monkeypatch.setattr(ScratchPool, "get", counted_get)
+        monkeypatch.setattr(stride_tricks, "sliding_window_view",
+                            counted_windows)
+        # Also the name a module-level import in conv.py would bind.
+        monkeypatch.setattr(conv_module, "sliding_window_view",
+                            counted_windows, raising=False)
+        got = step()
+        assert calls == []
+        for a, c in zip(got, expected):
+            np.testing.assert_array_equal(a, c)
+
+    def test_clear_drops_every_cached_workspace(self, rng):
+        """After ``clear()`` no cached view may point into a dropped
+        buffer: poisoning the dropped buffers must not reach a result."""
+        x = rng.standard_normal((2, 3, 6, 6))
+        w = rng.standard_normal((4, 3, 3, 3))
+
+        def run(pool):
+            xt = Tensor(x.copy(), requires_grad=True)
+            wt = Tensor(w.copy(), requires_grad=True)
+            out = conv2d(xt, wt, padding=1, scratch=pool)
+            (out * out).sum().backward()
+            return out.data, xt.grad, wt.grad
+
+        pool = ScratchPool()
+        run(pool)
+        dropped = list(pool._buffers.values())
+        pool.clear()
+        assert len(pool) == 0 and pool.requested_bytes == 0
+        for buffer in dropped:
+            buffer.fill(np.nan)
+        for a, c in zip(run(pool), run(ScratchPool())):
+            np.testing.assert_array_equal(a, c)
 
     def test_default_pool_is_thread_local_and_persistent(self):
         import threading

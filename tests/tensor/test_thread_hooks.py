@@ -19,6 +19,7 @@ from repro.inspect.trace import GraphTracer
 from repro.nn import Module
 from repro.profiling import profile
 from repro.tensor import Tensor, conv2d, detect_anomaly, is_anomaly_enabled
+from repro.tensor.scratch import default_pool
 from repro.tensor.tensor import _installed
 
 TIMEOUT_S = 30.0
@@ -186,3 +187,41 @@ def test_forward_compiler_plan_holds_only_its_own_kernels():
     np.testing.assert_array_equal(busy.forward(batch), expected)
     assert busy.snapshot()["fallbacks"] == {}
     assert _plan_kernels(busy) == _plan_kernels(quiet)
+
+
+def test_same_signature_convs_on_two_threads_keep_their_own_workspaces():
+    """Two threads run convs of one signature at once, each on its own
+    default pool: each pool caches its own workspaces, so neither
+    thread's buffers or padded gradient see the other's writes."""
+    rng = np.random.default_rng(3)
+    inputs = [rng.standard_normal((2, 4, 6, 10)) for _ in range(2)]
+    weight = rng.standard_normal((3, 4, 3, 3))
+    rounds = 20
+    barrier = threading.Barrier(2, timeout=TIMEOUT_S)
+
+    def run(x, start=None):
+        if start is not None:
+            start.wait()
+        results = []
+        for _ in range(rounds):
+            xt = Tensor(x, requires_grad=True)
+            wt = Tensor(weight, requires_grad=True)
+            out = conv2d(xt, wt, padding=1)
+            (out * out).sum().backward()
+            results.append((out.data, xt.grad, wt.grad))
+        return results, default_pool()
+
+    threads = [SecondThread(lambda x=x: run(x, barrier)) for x in inputs]
+    for thread in threads:
+        thread.release()
+    answers = [thread.join() for thread in threads]
+    (_, pool_a), (_, pool_b) = answers
+    assert pool_a is not pool_b
+    assert pool_a._signatures.keys() == pool_b._signatures.keys()
+    for key, workspace in pool_a._signatures.items():
+        assert workspace is not pool_b._signatures[key]
+    for x, (results, _) in zip(inputs, answers):
+        serial, _ = run(x)
+        for got, expected in zip(results, serial):
+            for a, c in zip(got, expected):
+                np.testing.assert_array_equal(a, c)
